@@ -1257,17 +1257,12 @@ mod tests {
     /// and neither path ever panics.
     #[test]
     fn train_under_seeded_read_faults_retries_then_fails_typed() {
-        use mtperf_detsim::clock::{self, VirtualClock};
-        use mtperf_detsim::fs as simfs;
-        use mtperf_detsim::rng::{self, SimRng};
         use mtperf_detsim::{FaultScript, FsOp};
         use std::sync::Arc;
 
         // Seam installation is process-global; serialize with the DST
         // harness like every other simulation.
-        let _exclusive = crate::serve::dst::SIM_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let seams = crate::serve::dst::SeamGuard::new();
 
         let dir = std::env::temp_dir().join("mtperf-cli-read-fault-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1286,10 +1281,7 @@ mod tests {
         let model = dir.join("model.json").display().to_string();
 
         let script = Arc::new(FaultScript::new());
-        clock::install(VirtualClock::auto());
-        rng::install(Arc::new(SimRng::seed_from_u64(77)));
-        simfs::install(Arc::clone(&script) as Arc<dyn simfs::FaultHook>);
-        let _restore = crate::serve::dst::SeamGuard::new();
+        seams.install(77, &script);
 
         // Two transient faults on the data file: with_retry's 4-deep
         // backoff schedule absorbs them and the full ingest->fit->save

@@ -1,10 +1,9 @@
 //! Per-tenant admission control: a fair, bounded, quota'd work queue.
 //!
-//! The PR 5 daemon used one global [`super::queue::BoundedQueue`]; under
-//! multi-tenant load that shape lets a single chatty tenant fill the
-//! whole queue and starve everyone else. [`FairQueue`] keeps the same
-//! contracts (bounded, blocking pop, close-to-drain) but splits admission
-//! and dispatch per tenant:
+//! One global bounded FIFO queue lets a single chatty tenant fill the
+//! whole queue under multi-tenant load and starve everyone else.
+//! [`FairQueue`] keeps the same contracts (bounded, blocking pop,
+//! close-to-drain) but splits admission and dispatch per tenant:
 //!
 //! * **Admission** — a push is refused with [`PushError::Quota`] when the
 //!   tenant already has `quota` jobs queued, and with [`PushError::Full`]

@@ -5,7 +5,7 @@
 //! fault script are all derived from it through
 //! [`mtperf_detsim::derive_seed`]. The harness drives the *production*
 //! session code — [`super::router::handle_line`],
-//! [`super::router::run_session`], [`super::answer`], the real
+//! [`super::transport::run_session`], [`super::answer`], the real
 //! [`super::registry::Registry`] — on a single logical thread, with the
 //! global clock/RNG/fs seams pointed at simulators:
 //!
@@ -55,7 +55,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mtperf_detsim::clock::{self, VirtualClock};
@@ -65,13 +65,14 @@ use mtperf_detsim::rng::{self, derive_seed, GenericRng, SimRng};
 use mtperf_detsim::{FaultScript, FsOp};
 use mtperf_linalg::parallel::{self, Parallelism};
 use mtperf_mtree::{Dataset, M5Params, ModelTree};
-use serde::Deserialize;
 
 use super::admission::FairQueue;
 use super::cache::PredictionCache;
+use super::protocol::{self, ReplyHeader};
 use super::registry::Registry;
-use super::router::{handle_line, run_session};
-use super::{answer, protocol, Shared, SharedWriter, Stats, SHUTDOWN};
+use super::router::handle_line;
+use super::transport::run_session;
+use super::{answer, Shared, SharedWriter, Stats, SHUTDOWN};
 
 /// One simulated run's parameters.
 #[derive(Debug, Clone)]
@@ -159,23 +160,40 @@ impl SimReport {
     }
 }
 
-/// Serializes simulated runs process-wide: the seams are global, so two
-/// concurrent simulations would corrupt each other's time and faults.
-pub(crate) static SIM_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes every holder of a [`SeamGuard`]: the seams are global, so
+/// two concurrent simulations would corrupt each other's time and faults.
+static SIM_LOCK: Mutex<()> = Mutex::new(());
 
-/// Restores every global seam on scope exit (including panic unwinds), so
-/// a failing simulation cannot leave the process on virtual time.
+/// Exclusive use of the process-global seams (clock, RNG, filesystem
+/// faults, parallelism, [`SHUTDOWN`]). Holding one serializes with every
+/// simulation, and with every test that arms a deadline on the clock and
+/// checks it later. Dropping it — panic unwinds included — restores every
+/// seam, so a failing simulation cannot leave the process on virtual time.
 pub(crate) struct SeamGuard {
     saved_parallelism: Parallelism,
+    _exclusive: MutexGuard<'static, ()>,
 }
 
 impl SeamGuard {
-    /// Captures the current parallelism setting; the seams themselves are
-    /// restored unconditionally on drop.
+    /// Takes the seam lock and records the parallelism setting to restore.
     pub(crate) fn new() -> SeamGuard {
+        let exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         SeamGuard {
             saved_parallelism: parallel::global(),
+            _exclusive: exclusive,
         }
+    }
+
+    /// Points the seams at simulators: an auto-advancing virtual clock, an
+    /// RNG seeded with `rng_seed`, the `fs` fault script, and parallelism
+    /// off — a single logical thread is what makes the schedule (and so
+    /// the trace) deterministic. Clears [`SHUTDOWN`] last.
+    pub(crate) fn install(&self, rng_seed: u64, fs: &Arc<FaultScript>) {
+        clock::install(VirtualClock::auto());
+        rng::install(Arc::new(SimRng::seed_from_u64(rng_seed)));
+        simfs::install(Arc::clone(fs) as Arc<dyn simfs::FaultHook>);
+        parallel::set_global(Parallelism::Off);
+        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 }
 
@@ -189,21 +207,7 @@ impl Drop for SeamGuard {
     }
 }
 
-/// Lenient mirror of the response schema, for invariant checking.
-#[derive(Debug, Deserialize)]
-struct SimResponse {
-    proto: Option<String>,
-    id: Option<String>,
-    ok: Option<bool>,
-    error: Option<SimError>,
-}
-
-#[derive(Debug, Deserialize)]
-struct SimError {
-    kind: Option<String>,
-}
-
-pub(crate) const KNOWN_KINDS: [&str; 11] = [
+const KNOWN_KINDS: [&str; 11] = [
     protocol::E_BAD_REQUEST,
     protocol::E_OVERLOADED,
     protocol::E_DEADLINE,
@@ -554,50 +558,77 @@ fn plan_multi_session(
     (conns, script.gen_bool(0.03))
 }
 
-/// Collects response lines from raw output bytes and validates each
-/// against the protocol invariants, appending violations. With
-/// `id_prefix`, every response must carry an id with that prefix — the
-/// response-routing invariant for multi-connection sessions.
+/// Which id a response line must echo.
+#[derive(Debug)]
+pub(crate) enum IdCheck<'a> {
+    /// Any id (a single-connection session).
+    Any,
+    /// The issuing connection's id prefix (a multi-connection session).
+    Prefix(&'a str),
+    /// Exactly the issuing request's id (a fleet dispatch).
+    Exact(Option<&'a str>),
+}
+
+/// Audits one response line against the protocol invariants: protocol
+/// JSON with the schema marker and an `ok` field, an id routed back to
+/// its issuer, and an error kind from the closed set. `at` locates the
+/// line in violation messages.
+pub(crate) fn audit_line(
+    at: &str,
+    line: &str,
+    want: &IdCheck<'_>,
+    typed_errors: &mut u64,
+    violations: &mut Vec<String>,
+) {
+    let resp = match serde_json::from_str::<ReplyHeader>(line) {
+        Ok(resp) => resp,
+        Err(e) => {
+            violations.push(format!("{at}: unparsable response line ({e}): {line}"));
+            return;
+        }
+    };
+    if resp.proto.as_deref() != Some(protocol::PROTOCOL) {
+        violations.push(format!("{at}: response missing proto marker: {line}"));
+    }
+    if resp.ok.is_none() {
+        violations.push(format!("{at}: response missing ok field: {line}"));
+    }
+    let id = resp.id.as_deref();
+    let routed = match want {
+        IdCheck::Any => true,
+        IdCheck::Prefix(prefix) => id.is_some_and(|id| id.starts_with(prefix)),
+        IdCheck::Exact(want_id) => id == *want_id,
+    };
+    if !routed {
+        violations.push(format!(
+            "{at}: response routed to the wrong issuer (want {want:?}, got id {id:?}): {line}"
+        ));
+    }
+    if let Some(err) = resp.error {
+        *typed_errors += 1;
+        match err.kind.as_deref() {
+            Some(kind) if KNOWN_KINDS.contains(&kind) => {}
+            other => violations.push(format!(
+                "{at}: error kind {other:?} is not in the closed set"
+            )),
+        }
+    }
+}
+
+/// Audits every response line in raw session output; returns the count.
 fn audit_responses(
     si: usize,
     raw: &[u8],
     typed_errors: &mut u64,
     violations: &mut Vec<String>,
-    id_prefix: Option<&str>,
+    want: &IdCheck<'_>,
 ) -> u64 {
+    let at = format!("s={si}");
     let text = String::from_utf8_lossy(raw);
     let mut n = 0u64;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         n += 1;
-        match serde_json::from_str::<SimResponse>(line) {
-            Ok(resp) => {
-                if resp.proto.as_deref() != Some(protocol::PROTOCOL) {
-                    violations.push(format!("s={si}: response missing proto marker: {line}"));
-                }
-                if resp.ok.is_none() {
-                    violations.push(format!("s={si}: response missing ok field: {line}"));
-                }
-                if let Some(prefix) = id_prefix {
-                    match resp.id.as_deref() {
-                        Some(id) if id.starts_with(prefix) => {}
-                        other => violations.push(format!(
-                            "s={si}: response routed to wrong connection \
-                             (want id prefix {prefix:?}, got {other:?}): {line}"
-                        )),
-                    }
-                }
-                if let Some(err) = resp.error {
-                    *typed_errors += 1;
-                    match err.kind.as_deref() {
-                        Some(kind) if KNOWN_KINDS.contains(&kind) => {}
-                        other => violations.push(format!(
-                            "s={si}: error kind {other:?} is not in the closed set"
-                        )),
-                    }
-                }
-            }
-            Err(e) => violations.push(format!("s={si}: unparsable response line ({e}): {line}")),
-        }
+        audit_line(&at, line, want, typed_errors, violations);
     }
     n
 }
@@ -694,7 +725,7 @@ fn cache_probe(shared: &Arc<Shared>, si: usize, rows_rng: &SimRng, report: &mut 
             &raw,
             &mut report.typed_errors,
             &mut report.violations,
-            None,
+            &IdCheck::Any,
         );
         payloads.push(predictions_payload(&raw));
     }
@@ -731,8 +762,7 @@ impl std::io::Write for VecWriter {
 /// internal lock.
 #[allow(clippy::too_many_lines)]
 pub fn run_sim(cfg: &SimConfig) -> SimReport {
-    let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let saved_parallelism = parallel::global();
+    let seams = SeamGuard::new();
     let mut report = SimReport {
         seed: cfg.seed,
         sessions: cfg.sessions,
@@ -785,18 +815,9 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         return report;
     }
 
-    // Install the simulators. Parallelism off: a single logical thread is
-    // what makes the schedule (and therefore the trace) deterministic.
-    let vclock = VirtualClock::auto();
+    // Install the simulators; the guard restores everything on exit.
     let fs_script = Arc::new(FaultScript::new());
-    clock::install(vclock.clone());
-    rng::install(Arc::new(SimRng::seed_from_u64(derive_seed(
-        cfg.seed, "jitter",
-    ))));
-    simfs::install(Arc::clone(&fs_script) as Arc<dyn simfs::FaultHook>);
-    parallel::set_global(Parallelism::Off);
-    SHUTDOWN.store(false, Ordering::SeqCst);
-    let _restore = SeamGuard { saved_parallelism };
+    seams.install(derive_seed(cfg.seed, "jitter"), &fs_script);
 
     let script = SimRng::seed_from_u64(derive_seed(cfg.seed, "script"));
     let rows_rng = SimRng::seed_from_u64(derive_seed(cfg.seed, "rows"));
@@ -923,7 +944,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                     &raw,
                     &mut report.typed_errors,
                     &mut report.violations,
-                    Some(&prefix),
+                    &IdCheck::Prefix(&prefix),
                 );
                 all_out.extend_from_slice(&raw);
             }
@@ -964,7 +985,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 let (reader, writer_half) = stream.split();
                 let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_session(&shared_ref, std::io::BufReader::new(reader), writer);
+                    run_session(&*shared_ref, std::io::BufReader::new(reader), writer);
                 }));
                 if outcome.is_err() {
                     report
@@ -1032,7 +1053,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 &raw_out,
                 &mut report.typed_errors,
                 &mut report.violations,
-                None,
+                &IdCheck::Any,
             );
             out_hash = mtperf_obs::fsio::fnv1a_64(sanitize(&raw_out, &dir_str).as_bytes());
         }
@@ -1238,7 +1259,9 @@ mod tests {
             seed: 3,
             sessions: 4,
         });
-        // Real time flows again.
+        // Real time flows again. Hold the seams while looking, so no
+        // other simulation installs its clock in between.
+        let _seams = SeamGuard::new();
         let t0 = clock::now();
         std::thread::sleep(Duration::from_millis(2));
         assert!(clock::now() > t0, "clock seam not restored");

@@ -231,6 +231,9 @@ mod tests {
 
     #[test]
     fn expired_deadline_reports_deadline_not_a_hang() {
+        // The deadline is armed and checked on the clock seam; hold the
+        // seams so no simulation swaps the clock in between.
+        let _seams = crate::serve::dst::SeamGuard::new();
         let (path, _) = temp_model("deadline.json", 2);
         let model = load_and_validate(&path).unwrap();
         let rows = Matrix::from_rows(&[&[1.0, 2.0][..]]).unwrap();

@@ -36,20 +36,17 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mtperf_detsim::clock::{self, VirtualClock};
-use mtperf_detsim::fs as simfs;
-use mtperf_detsim::rng::{self, derive_seed, GenericRng, SimRng};
+use mtperf_detsim::clock;
+use mtperf_detsim::rng::{derive_seed, GenericRng, SimRng};
 use mtperf_detsim::{FaultScript, FsOp};
-use mtperf_linalg::parallel::{self, Parallelism};
-use serde::Deserialize;
 
 use super::super::dst::{
-    fmt_f64_row, json_path, new_shared, sanitize, sim_model, SeamGuard, VecWriter, KNOWN_KINDS,
-    SIM_LOCK,
+    audit_line, fmt_f64_row, json_path, new_shared, sanitize, sim_model, IdCheck, SeamGuard,
+    VecWriter,
 };
 use super::super::registry::Registry;
 use super::super::router::handle_line;
-use super::super::{answer, protocol, SessionControl, Shared, SharedWriter, SHUTDOWN};
+use super::super::{answer, SessionControl, Shared, SharedWriter, SHUTDOWN};
 use super::replica::{HealthState, ReplicaHealth};
 use super::router::{dispatch_line, Fleet, FleetStats, ReplicaLink, ReplicaSlot};
 
@@ -156,7 +153,7 @@ fn lock_state(state: &Arc<Mutex<ReplicaState>>) -> std::sync::MutexGuard<'_, Rep
 /// Runs one request line through a replica engine synchronously (the
 /// replica's queue is drained on the spot) and returns its one response
 /// line.
-fn engine_exchange(shared: &Arc<Shared>, line: &str) -> String {
+pub(crate) fn engine_exchange(shared: &Arc<Shared>, line: &str) -> String {
     let sink = Arc::new(Mutex::new(Vec::<u8>::new()));
     let writer: SharedWriter = Arc::new(Mutex::new(Box::new(VecWriter(Arc::clone(&sink)))));
     let control = handle_line(shared, line, &writer);
@@ -210,20 +207,6 @@ impl ReplicaLink for SimLink {
     fn reset(&mut self) {}
 }
 
-/// Lenient response mirror for auditing.
-#[derive(Debug, Deserialize)]
-struct WireResp {
-    proto: Option<String>,
-    id: Option<String>,
-    ok: Option<bool>,
-    error: Option<WireErr>,
-}
-
-#[derive(Debug, Deserialize)]
-struct WireErr {
-    kind: Option<String>,
-}
-
 fn fleet_dir(seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("mtperf-dst-fleet-{seed:016x}"))
 }
@@ -245,42 +228,21 @@ fn audit_response(
         ));
         return;
     }
-    let line = resp.trim_end();
-    match serde_json::from_str::<WireResp>(line) {
-        Ok(w) => {
-            if w.proto.as_deref() != Some(protocol::PROTOCOL) {
-                violations.push(format!("s={si} o={oi}: missing proto marker: {line}"));
-            }
-            if w.ok.is_none() {
-                violations.push(format!("s={si} o={oi}: missing ok field: {line}"));
-            }
-            if w.id.as_deref() != want_id {
-                violations.push(format!(
-                    "s={si} o={oi}: response routed to the wrong request \
-                     (want id {want_id:?}, got {:?})",
-                    w.id
-                ));
-            }
-            if let Some(err) = w.error {
-                *typed_errors += 1;
-                match err.kind.as_deref() {
-                    Some(kind) if KNOWN_KINDS.contains(&kind) => {}
-                    other => violations.push(format!(
-                        "s={si} o={oi}: error kind {other:?} is not in the closed set"
-                    )),
-                }
-            }
-        }
-        Err(e) => violations.push(format!("s={si} o={oi}: unparsable response ({e}): {line}")),
-    }
+    audit_line(
+        &format!("s={si} o={oi}"),
+        resp.trim_end(),
+        &IdCheck::Exact(want_id),
+        typed_errors,
+        violations,
+    );
 }
 
 /// Runs one seeded fleet simulation. Seams are installed for the
-/// duration (shared lock with the single-daemon sim) and restored on
-/// exit, panics included.
+/// duration (one guard, shared with the single-daemon sim) and restored
+/// on exit, panics included.
 #[allow(clippy::too_many_lines)]
 pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
-    let _exclusive = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let seams = SeamGuard::new();
     let mut report = FleetSimReport {
         seed: cfg.seed,
         sessions: cfg.sessions,
@@ -333,15 +295,7 @@ pub fn run_fleet_sim(cfg: &FleetSimConfig) -> FleetSimReport {
 
     // Install the simulators; the guard restores everything on exit.
     let fs_script = Arc::new(FaultScript::new());
-    clock::install(VirtualClock::auto());
-    rng::install(Arc::new(SimRng::seed_from_u64(derive_seed(
-        cfg.seed,
-        "fleet-jitter",
-    ))));
-    simfs::install(Arc::clone(&fs_script) as Arc<dyn simfs::FaultHook>);
-    parallel::set_global(Parallelism::Off);
-    SHUTDOWN.store(false, Ordering::SeqCst);
-    let _restore = SeamGuard::new();
+    seams.install(derive_seed(cfg.seed, "fleet-jitter"), &fs_script);
 
     let script = SimRng::seed_from_u64(derive_seed(cfg.seed, "fleet-script"));
     let rows_rng = SimRng::seed_from_u64(derive_seed(cfg.seed, "fleet-rows"));

@@ -16,6 +16,11 @@
 //! * [`dst`] — the deterministic fleet simulation (scripted kills,
 //!   partitions, latency spikes, poisoned promotes) and its invariants.
 //!
+//! Client connections are the daemon's: [`Fleet`] implements
+//! [`super::transport::Dispatch`], so the router's stdio session, Unix
+//! and TCP accept loops, line framing and ready/drain lifecycle are the
+//! same code `mtperf serve` runs.
+//!
 //! The router holds no model state and no queue of its own: every
 //! request either completes against a replica or is answered with a
 //! typed error before the session moves on, so a drain never has
@@ -31,18 +36,17 @@ pub use replica::{Admission, HealthState, ReplicaHealth};
 pub use router::{Fleet, FleetStats, ReplicaLink, ReplicaSlot};
 
 use std::io::{self, BufRead, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cli::Args;
 use crate::errors::CliError;
 
 use super::protocol::{self, LineRead};
-use super::{SharedWriter, POLL_MS, SHUTDOWN};
+use super::transport::Listeners;
+use super::SHUTDOWN;
 
 /// Consecutive exchange failures before a replica's circuit opens.
 pub(crate) const FAIL_THRESHOLD: u32 = 3;
@@ -61,12 +65,8 @@ pub struct FleetConfig {
     /// Replica endpoints, in `--replicas` order: `host:port` for TCP, a
     /// path containing `/` for a Unix socket.
     pub replicas: Vec<String>,
-    /// Unix-domain socket the *router* listens on, if any.
-    pub socket: Option<PathBuf>,
-    /// TCP address the *router* listens on, if any.
-    pub tcp: Option<String>,
-    /// Whether to serve a session over stdin/stdout.
-    pub stdio: bool,
+    /// Where the *router* listens.
+    pub listeners: Listeners,
     /// Hedge threshold for predicts, in milliseconds.
     pub hedge_ms: u64,
     /// Retry attempts per request.
@@ -95,8 +95,6 @@ impl FleetConfig {
                 "option --replicas needs at least one endpoint".to_string(),
             ));
         }
-        let socket = args.options.get("socket").map(PathBuf::from);
-        let tcp = args.options.get("tcp").cloned();
         let hedge_ms: u64 = args.numeric("hedge-ms", 50)?;
         if hedge_ms == 0 {
             return Err(CliError::Usage(
@@ -110,12 +108,9 @@ impl FleetConfig {
                 "option --retry-base-ms must be at least 1".to_string(),
             ));
         }
-        let stdio = (socket.is_none() && tcp.is_none()) || args.flag("stdio");
         Ok(FleetConfig {
             replicas,
-            socket,
-            tcp,
-            stdio,
+            listeners: Listeners::from_args(args),
             hedge_ms,
             retry_attempts,
             retry_base_ms,
@@ -276,68 +271,6 @@ fn build_fleet(cfg: &FleetConfig) -> Fleet {
     }
 }
 
-fn spawn_stdio(fleet: &Arc<Fleet>) {
-    let fleet = Arc::clone(fleet);
-    thread::spawn(move || {
-        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
-        router::run_fleet_session(&fleet, io::BufReader::new(io::stdin()), &writer);
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    });
-}
-
-fn accept_loop_tcp(fleet: &Arc<Fleet>, listener: TcpListener) {
-    loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            return;
-        }
-        match mtperf_obs::fsio::with_retry("fleet_accept", || listener.accept()) {
-            Ok((stream, _addr)) => {
-                let reader = match stream.try_clone() {
-                    Ok(s) => io::BufReader::new(s),
-                    Err(_) => continue,
-                };
-                let writer: SharedWriter = Arc::new(Mutex::new(Box::new(stream)));
-                let fleet = Arc::clone(fleet);
-                thread::spawn(move || router::run_fleet_session(&fleet, reader, &writer));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(e) => {
-                eprintln!("mtperf serve --fleet: tcp accept failed: {e}");
-                thread::sleep(Duration::from_millis(POLL_MS));
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-fn accept_loop_unix(fleet: &Arc<Fleet>, listener: std::os::unix::net::UnixListener) {
-    loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            return;
-        }
-        match mtperf_obs::fsio::with_retry("fleet_accept", || listener.accept()) {
-            Ok((stream, _addr)) => {
-                let reader = match stream.try_clone() {
-                    Ok(s) => io::BufReader::new(s),
-                    Err(_) => continue,
-                };
-                let writer: SharedWriter = Arc::new(Mutex::new(Box::new(stream)));
-                let fleet = Arc::clone(fleet);
-                thread::spawn(move || router::run_fleet_session(&fleet, reader, &writer));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(e) => {
-                eprintln!("mtperf serve --fleet: accept failed: {e}");
-                thread::sleep(Duration::from_millis(POLL_MS));
-            }
-        }
-    }
-}
-
 /// Runs the fleet router until a drain trigger fires.
 ///
 /// # Errors
@@ -348,50 +281,12 @@ fn accept_loop_unix(fleet: &Arc<Fleet>, listener: std::os::unix::net::UnixListen
 pub fn run(cfg: &FleetConfig) -> Result<(), CliError> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     let fleet = Arc::new(build_fleet(cfg));
-    if let Some(sock) = &cfg.socket {
-        #[cfg(unix)]
-        {
-            let listener = super::transport::bind_unix(sock)?;
-            let fleet = Arc::clone(&fleet);
-            thread::spawn(move || accept_loop_unix(&fleet, listener));
-        }
-        #[cfg(not(unix))]
-        {
-            return Err(CliError::Unavailable(format!(
-                "--socket {} requires a unix platform",
-                sock.display()
-            )));
-        }
-    }
-    if let Some(addr) = &cfg.tcp {
-        let listener = super::transport::bind_tcp(addr)?;
-        let fleet = Arc::clone(&fleet);
-        thread::spawn(move || accept_loop_tcp(&fleet, listener));
-    }
-    if cfg.stdio {
-        spawn_stdio(&fleet);
-    }
-    eprintln!(
-        "mtperf serve: fleet ready ({} replicas: {}{}{}{})",
+    let ready = format!(
+        "fleet ready ({} replicas: {}{})",
         cfg.replicas.len(),
         cfg.replicas.join(", "),
-        cfg.socket
-            .as_ref()
-            .map(|s| format!(", socket {}", s.display()))
-            .unwrap_or_default(),
-        cfg.tcp
-            .as_ref()
-            .map(|a| format!(", tcp {a}"))
-            .unwrap_or_default(),
-        if cfg.stdio { ", stdio" } else { "" },
+        cfg.listeners,
     );
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        thread::sleep(Duration::from_millis(POLL_MS));
-    }
-    eprintln!("mtperf serve: draining...");
-    if let Some(sock) = &cfg.socket {
-        let _ = std::fs::remove_file(sock);
-    }
-    eprintln!("mtperf serve: drained, exiting");
-    Ok(())
+    // The router holds no queue: nothing to finish before exiting.
+    cfg.listeners.serve(&fleet, &ready, || {})
 }

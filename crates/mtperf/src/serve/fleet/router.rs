@@ -30,7 +30,7 @@
 //!   never a dropped line.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -38,8 +38,9 @@ use std::time::Duration;
 use mtperf_detsim::{clock, rng};
 use serde::Deserialize;
 
-use super::super::protocol::{self, LineRead, Request, Response};
-use super::super::{SessionControl, SharedWriter, SHUTDOWN};
+use super::super::protocol::{self, ReplyHeader, Request, Response};
+use super::super::transport::{write_line, Dispatch};
+use super::super::{SessionControl, SharedWriter};
 use super::balance;
 use super::replica::{Admission, ReplicaHealth};
 use super::retry::RetryBudget;
@@ -143,12 +144,9 @@ impl Fleet {
     }
 }
 
-/// Lenient mirror of a replica reply, for well-formedness checks and
-/// merge bookkeeping.
+/// The payload half of a replica's `health` reply, for merging.
 #[derive(Debug, Deserialize)]
-struct WireReply {
-    proto: Option<String>,
-    ok: Option<bool>,
+struct WireHealthReply {
     health: Option<WireHealth>,
 }
 
@@ -189,23 +187,17 @@ fn is_idempotent(op: Option<&str>) -> bool {
     matches!(op, None | Some("predict" | "health" | "ready" | "list"))
 }
 
-/// Checks a replica reply is a well-formed protocol line. A replica that
-/// answers garbage is as failed as one that answers nothing — the reply
-/// is discarded and the breaker charged.
-fn well_formed(line: &str) -> bool {
-    serde_json::from_str::<WireReply>(line)
-        .map(|r| {
-            matches!(
-                r.proto.as_deref(),
-                Some(protocol::PROTOCOL | protocol::PROTOCOL_V1)
-            ) && r.ok.is_some()
-        })
-        .unwrap_or(false)
-}
-
 /// One accounted exchange with replica `idx`: inflight tracked, breaker
 /// charged for the outcome, link reset on failure (loser cancellation).
-fn try_replica(fleet: &Fleet, idx: usize, line: &str, wait: Duration) -> io::Result<String> {
+/// The reply comes back with its header, parsed once here: a replica
+/// that answers garbage is as failed as one that answers nothing — the
+/// reply is discarded and the breaker charged.
+fn try_replica(
+    fleet: &Fleet,
+    idx: usize,
+    line: &str,
+    wait: Duration,
+) -> io::Result<(String, ReplyHeader)> {
     let slot = &fleet.replicas[idx];
     slot.inflight.fetch_add(1, Ordering::SeqCst);
     let outcome = {
@@ -216,13 +208,12 @@ fn try_replica(fleet: &Fleet, idx: usize, line: &str, wait: Duration) -> io::Res
     let outcome = match outcome {
         Ok(reply) => {
             let reply = reply.trim_end_matches(['\r', '\n']).to_string();
-            if well_formed(&reply) {
-                Ok(reply)
-            } else {
-                Err(io::Error::new(
+            match serde_json::from_str::<ReplyHeader>(&reply) {
+                Ok(header) if header.well_formed() => Ok((reply, header)),
+                _ => Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("replica {} answered a malformed line", slot.name),
-                ))
+                )),
             }
         }
         Err(e) => Err(e),
@@ -318,7 +309,7 @@ fn route(fleet: &Fleet, line: &str, id: Option<String>, req: Option<&Request>) -
             (false, None) => DEFAULT_EXCHANGE_WAIT,
         };
         match try_replica(fleet, pick, line, wait) {
-            Ok(reply) => return reply + "\n",
+            Ok((reply, _)) => return reply + "\n",
             Err(e) if timed_out(&e) && is_predict && !hedged => {
                 // Hedge: the loser was cancelled by the link reset in
                 // try_replica; re-send immediately on another replica.
@@ -384,12 +375,12 @@ fn broadcast(fleet: &Fleet, line: &str, id: Option<String>) -> String {
         if admission == Admission::Refuse {
             continue;
         }
-        if let Ok(reply) = try_replica(fleet, i, line, DEFAULT_EXCHANGE_WAIT) {
-            let ok = serde_json::from_str::<WireReply>(&reply)
-                .ok()
-                .and_then(|r| r.ok)
-                .unwrap_or(false);
-            let slot = if ok { &mut first_ok } else { &mut first_err };
+        if let Ok((reply, header)) = try_replica(fleet, i, line, DEFAULT_EXCHANGE_WAIT) {
+            let slot = if header.ok == Some(true) {
+                &mut first_ok
+            } else {
+                &mut first_err
+            };
             if slot.is_none() {
                 *slot = Some(reply);
             }
@@ -426,8 +417,8 @@ fn merge_health(fleet: &Fleet, line: &str, id: Option<String>) -> String {
         if admission == Admission::Refuse {
             continue;
         }
-        if let Ok(reply) = try_replica(fleet, i, line, DEFAULT_EXCHANGE_WAIT) {
-            if let Ok(wire) = serde_json::from_str::<WireReply>(&reply) {
+        if let Ok((reply, _)) = try_replica(fleet, i, line, DEFAULT_EXCHANGE_WAIT) {
+            if let Ok(wire) = serde_json::from_str::<WireHealthReply>(&reply) {
                 if let Some(h) = wire.health {
                     payloads.push(h);
                 }
@@ -550,40 +541,10 @@ pub(crate) fn dispatch_line(fleet: &Fleet, line: &str) -> (String, SessionContro
     }
 }
 
-/// Runs one client session against the fleet: the fleet-side twin of
-/// `serve::router::run_session`, with identical framing rules.
-pub(crate) fn run_fleet_session<R: BufRead>(fleet: &Fleet, mut reader: R, writer: &SharedWriter) {
-    loop {
-        match protocol::read_bounded_line(&mut reader) {
-            Ok(LineRead::Eof) => return,
-            Ok(LineRead::TooLong) => {
-                let resp = Response::error(
-                    None,
-                    protocol::E_BAD_REQUEST,
-                    format!("request line exceeds {} bytes", protocol::MAX_LINE_BYTES),
-                )
-                .to_line();
-                send_line(writer, &resp);
-            }
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let (resp, control) = dispatch_line(fleet, &line);
-                send_line(writer, &resp);
-                if control == SessionControl::Shutdown {
-                    SHUTDOWN.store(true, Ordering::SeqCst);
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
+impl Dispatch for Fleet {
+    fn dispatch(&self, line: &str, writer: &SharedWriter) -> SessionControl {
+        let (resp, control) = dispatch_line(self, line);
+        write_line(writer, &resp);
+        control
     }
-}
-
-/// Writes one already-framed response line to the session writer.
-fn send_line(writer: &SharedWriter, line: &str) {
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.flush();
 }

@@ -8,6 +8,8 @@
 //! * [`transport`] — owns connections: the stdio session, the Unix and
 //!   TCP accept loops, one framing buffer and one shared writer per
 //!   connection, so responses always return on the issuing connection.
+//!   The fleet router ([`fleet`]) runs the same transport; only the
+//!   per-line [`transport::Dispatch`] differs.
 //! * [`router`] — parses and validates each line, resolves the target
 //!   model through the registry, consults the prediction cache, and
 //!   admits work through the fair queue.
@@ -49,7 +51,6 @@ pub mod dst;
 pub mod engine;
 pub mod fleet;
 pub mod protocol;
-pub mod queue;
 pub mod registry;
 pub mod router;
 pub mod transport;
@@ -59,7 +60,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
 
 use mtperf_linalg::{parallel, CancelToken, Matrix};
 
@@ -70,6 +70,7 @@ use cache::PredictionCache;
 use engine::LoadedModel;
 use protocol::Response;
 use registry::Registry;
+use transport::{Dispatch, Listeners};
 
 /// Drain requested (SIGTERM from the binary's handler, a `shutdown`
 /// request, or EOF on the primary transport). The main loop polls this.
@@ -78,20 +79,14 @@ pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 const DEFAULT_WORKERS: usize = 2;
 const DEFAULT_QUEUE_DEPTH: usize = 64;
 const DEFAULT_CACHE_SIZE: usize = 256;
-pub(crate) const POLL_MS: u64 = 25;
 
 /// Parsed configuration of one `mtperf serve` run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Model file served as the default model (reload/save default target).
     pub model: PathBuf,
-    /// Unix-domain socket to listen on, if any.
-    pub socket: Option<PathBuf>,
-    /// TCP address (`host:port`) to listen on, if any.
-    pub tcp: Option<String>,
-    /// Whether to run a session over stdin/stdout (default unless
-    /// `--socket`/`--tcp` is given without `--stdio`).
-    pub stdio: bool,
+    /// Where the daemon listens.
+    pub listeners: Listeners,
     /// Registry manifest path for crash-safe multi-model persistence.
     pub registry: Option<PathBuf>,
     /// Prediction worker threads.
@@ -120,8 +115,6 @@ impl ServeConfig {
     /// numeric option.
     pub fn from_args(args: &Args) -> Result<ServeConfig, CliError> {
         let model = PathBuf::from(args.require("model")?);
-        let socket = args.options.get("socket").map(PathBuf::from);
-        let tcp = args.options.get("tcp").cloned();
         let registry = args.options.get("registry").map(PathBuf::from);
         let workers: usize = args.numeric("workers", DEFAULT_WORKERS)?;
         if workers == 0 {
@@ -162,12 +155,9 @@ impl ServeConfig {
                 Some(n)
             }
         };
-        let stdio = (socket.is_none() && tcp.is_none()) || args.flag("stdio");
         Ok(ServeConfig {
             model,
-            socket,
-            tcp,
-            stdio,
+            listeners: Listeners::from_args(args),
             registry,
             workers,
             queue_depth,
@@ -229,16 +219,23 @@ pub(crate) struct Shared {
 }
 
 pub(crate) fn send(writer: &SharedWriter, resp: &Response) {
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    // A vanished peer is not a daemon error; the session just winds down.
-    let _ = w.write_all(resp.to_line().as_bytes());
-    let _ = w.flush();
+    transport::write_line(writer, &resp.to_line());
 }
 
 #[derive(PartialEq, Eq)]
 pub(crate) enum SessionControl {
     Continue,
     Shutdown,
+}
+
+impl Dispatch for Shared {
+    fn dispatch(&self, line: &str, writer: &SharedWriter) -> SessionControl {
+        router::handle_line(self, line, writer)
+    }
+
+    fn accepting(&self) -> bool {
+        !self.draining.load(Ordering::SeqCst)
+    }
 }
 
 pub(crate) fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
@@ -360,58 +357,20 @@ pub fn run(cfg: &ServeConfig) -> Result<(), CliError> {
         let shared = Arc::clone(&shared);
         workers.push(thread::spawn(move || worker_loop(&shared)));
     }
-    if let Some(sock) = &cfg.socket {
-        #[cfg(unix)]
-        {
-            let listener = transport::bind_unix(sock)?;
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || transport::accept_loop_unix(&shared, listener));
-        }
-        #[cfg(not(unix))]
-        {
-            return Err(CliError::Unavailable(format!(
-                "--socket {} requires a unix platform",
-                sock.display()
-            )));
-        }
-    }
-    if let Some(addr) = &cfg.tcp {
-        let listener = transport::bind_tcp(addr)?;
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || transport::accept_loop_tcp(&shared, listener));
-    }
-    if cfg.stdio {
-        transport::spawn_stdio(&shared);
-    }
-    eprintln!(
-        "mtperf serve: ready (model {}, {} workers, queue {}{}{}{})",
+    let ready = format!(
+        "ready (model {}, {} workers, queue {}{})",
         cfg.model.display(),
         cfg.workers,
         cfg.queue_depth,
-        cfg.socket
-            .as_ref()
-            .map(|s| format!(", socket {}", s.display()))
-            .unwrap_or_default(),
-        cfg.tcp
-            .as_ref()
-            .map(|a| format!(", tcp {a}"))
-            .unwrap_or_default(),
-        if cfg.stdio { ", stdio" } else { "" },
+        cfg.listeners,
     );
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        thread::sleep(Duration::from_millis(POLL_MS));
-    }
-    eprintln!("mtperf serve: draining...");
-    shared.draining.store(true, Ordering::SeqCst);
-    shared.queue.close();
-    for handle in workers {
-        let _ = handle.join();
-    }
-    if let Some(sock) = &cfg.socket {
-        let _ = std::fs::remove_file(sock);
-    }
-    eprintln!("mtperf serve: drained, exiting");
-    Ok(())
+    cfg.listeners.serve(&shared, &ready, || {
+        shared.draining.store(true, Ordering::SeqCst);
+        shared.queue.close();
+        for handle in workers {
+            let _ = handle.join();
+        }
+    })
 }
 
 #[cfg(test)]
@@ -500,7 +459,8 @@ pub(crate) mod tests {
         assert_eq!(cfg.queue_depth, DEFAULT_QUEUE_DEPTH);
         assert_eq!(cfg.tenant_quota, DEFAULT_QUEUE_DEPTH);
         assert_eq!(cfg.cache_size, DEFAULT_CACHE_SIZE);
-        assert!(cfg.stdio && cfg.socket.is_none() && cfg.tcp.is_none());
+        let on = &cfg.listeners;
+        assert!(on.stdio && on.socket.is_none() && on.tcp.is_none());
         assert!(cfg.registry.is_none());
         assert!(cfg.default_deadline_ms.is_none());
 
@@ -508,7 +468,7 @@ pub(crate) mod tests {
         // restores it.
         let cfg = ServeConfig::from_args(&parse(&["serve", "--model", "m.json", "--socket", "s"]))
             .unwrap();
-        assert!(!cfg.stdio);
+        assert!(!cfg.listeners.stdio);
         let cfg = ServeConfig::from_args(&parse(&[
             "serve",
             "--model",
@@ -517,13 +477,13 @@ pub(crate) mod tests {
             "127.0.0.1:0",
         ]))
         .unwrap();
-        assert!(!cfg.stdio);
-        assert_eq!(cfg.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert!(!cfg.listeners.stdio);
+        assert_eq!(cfg.listeners.tcp.as_deref(), Some("127.0.0.1:0"));
         let cfg = ServeConfig::from_args(&parse(&[
             "serve", "--model", "m.json", "--socket", "s", "--stdio",
         ]))
         .unwrap();
-        assert!(cfg.stdio);
+        assert!(cfg.listeners.stdio);
 
         // The quota defaults to the queue depth and can sit below it.
         let cfg = ServeConfig::from_args(&parse(&[
@@ -577,6 +537,9 @@ pub(crate) mod tests {
 
     #[test]
     fn queued_past_deadline_is_a_timeout_not_a_hang() {
+        // The deadline is armed and checked on the clock seam; hold the
+        // seams so no simulation swaps the clock in between.
+        let _seams = dst::SeamGuard::new();
         let (shared, _, _) = test_shared("deadline", 8);
         let cap = Capture::default();
         router::handle_line(
@@ -596,6 +559,7 @@ pub(crate) mod tests {
     fn default_deadline_applies_when_request_has_none() {
         // An already-expired default deadline: the worker must time the
         // request out even though the request itself named no deadline.
+        let _seams = dst::SeamGuard::new();
         let (shared, _, _) = test_shared_with("default-deadline", 8, Some(0), 8, 0);
         let cap = Capture::default();
         router::handle_line(

@@ -312,6 +312,31 @@ impl Response {
     }
 }
 
+/// The header of one response line — the fields a router or an audit
+/// checks — read leniently: a missing field is `None`, never a parse
+/// error, and the payload is not interpreted.
+#[derive(Debug, Deserialize)]
+pub(crate) struct ReplyHeader {
+    pub(crate) proto: Option<String>,
+    pub(crate) id: Option<String>,
+    pub(crate) ok: Option<bool>,
+    pub(crate) error: Option<ReplyError>,
+}
+
+/// The `error` object of a [`ReplyHeader`]; only its kind is read.
+#[derive(Debug, Deserialize)]
+pub(crate) struct ReplyError {
+    pub(crate) kind: Option<String>,
+}
+
+impl ReplyHeader {
+    /// A well-formed protocol reply: a known schema marker and an `ok`
+    /// flag.
+    pub(crate) fn well_formed(&self) -> bool {
+        matches!(self.proto.as_deref(), Some(PROTOCOL | PROTOCOL_V1)) && self.ok.is_some()
+    }
+}
+
 /// Outcome of one bounded line read.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LineRead {

@@ -1,8 +1,9 @@
 //! The router layer: one protocol line in, typed dispatch out.
 //!
 //! Sits between [`super::transport`] (which owns connections and framing
-//! buffers) and the engine/registry layers (which own models and
-//! compute). The router:
+//! buffers, and calls [`handle_line`] through the daemon's
+//! [`super::transport::Dispatch`]) and the engine/registry layers (which
+//! own models and compute). The router:
 //!
 //! * parses each bounded line into a [`Request`] and answers malformed
 //!   input with typed `bad_request` errors — a bad line never kills its
@@ -21,7 +22,6 @@
 //! writer — the routing invariant the DST harness checks across
 //! interleaved connections.
 
-use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -31,9 +31,9 @@ use mtperf_linalg::{CancelToken, Matrix};
 
 use super::admission::PushError;
 use super::cache::MAX_CACHED_ROWS;
-use super::protocol::{self, LineRead, Request, Response};
+use super::protocol::{self, Request, Response};
 use super::registry::{LookupError, DEFAULT_MODEL};
-use super::{send, Job, SessionControl, Shared, SharedWriter, SHUTDOWN};
+use super::{send, Job, SessionControl, Shared, SharedWriter};
 
 fn tenant_of(req: &Request) -> String {
     req.model
@@ -41,7 +41,7 @@ fn tenant_of(req: &Request) -> String {
         .unwrap_or_else(|| DEFAULT_MODEL.to_string())
 }
 
-fn handle_predict(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
+fn handle_predict(shared: &Shared, req: Request, writer: &SharedWriter) {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     mtperf_obs::add("serve.requests", 1);
     let id = req.id;
@@ -270,7 +270,7 @@ fn health_payload(shared: &Shared) -> protocol::Health {
     }
 }
 
-fn handle_reload(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
+fn handle_reload(shared: &Shared, req: Request, writer: &SharedWriter) {
     if req.model.as_deref().is_some_and(|m| m != DEFAULT_MODEL) {
         send(
             writer,
@@ -307,7 +307,7 @@ fn handle_reload(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
     }
 }
 
-fn handle_load(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
+fn handle_load(shared: &Shared, req: Request, writer: &SharedWriter) {
     mtperf_obs::add("serve.registry_ops", 1);
     let Some(path) = req.path.as_ref().map(PathBuf::from) else {
         send(
@@ -327,7 +327,7 @@ fn handle_load(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
     }
 }
 
-fn handle_promote(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
+fn handle_promote(shared: &Shared, req: Request, writer: &SharedWriter) {
     mtperf_obs::add("serve.registry_ops", 1);
     let name = tenant_of(&req);
     let path = req.path.as_ref().map(PathBuf::from);
@@ -384,7 +384,7 @@ fn handle_promote(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
     }
 }
 
-fn handle_rollback(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
+fn handle_rollback(shared: &Shared, req: Request, writer: &SharedWriter) {
     mtperf_obs::add("serve.registry_ops", 1);
     let name = tenant_of(&req);
     if !super::lock_registry(shared).contains(&name) {
@@ -410,11 +410,7 @@ fn handle_rollback(shared: &Arc<Shared>, req: Request, writer: &SharedWriter) {
 
 /// Dispatches one protocol line. Returns [`SessionControl::Shutdown`]
 /// only for an acked `shutdown` request.
-pub(crate) fn handle_line(
-    shared: &Arc<Shared>,
-    line: &str,
-    writer: &SharedWriter,
-) -> SessionControl {
+pub(crate) fn handle_line(shared: &Shared, line: &str, writer: &SharedWriter) -> SessionControl {
     let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
@@ -472,38 +468,10 @@ pub(crate) fn handle_line(
     SessionControl::Continue
 }
 
-/// Drains one connection: reads bounded lines, dispatches, stops at EOF
-/// or after a `shutdown` request (which also flags the daemon to drain).
-pub(crate) fn run_session<R: BufRead>(shared: &Arc<Shared>, mut reader: R, writer: SharedWriter) {
-    loop {
-        match protocol::read_bounded_line(&mut reader) {
-            Ok(LineRead::Eof) => return,
-            Ok(LineRead::TooLong) => send(
-                &writer,
-                &Response::error(
-                    None,
-                    protocol::E_BAD_REQUEST,
-                    format!("request line exceeds {} bytes", protocol::MAX_LINE_BYTES),
-                ),
-            ),
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let SessionControl::Shutdown = handle_line(shared, &line, &writer) {
-                    SHUTDOWN.store(true, Ordering::SeqCst);
-                    return;
-                }
-            }
-            // A broken connection ends its session, never the daemon.
-            Err(_) => return,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::{test_shared, test_shared_with, Capture};
+    use super::super::transport::run_session;
     use super::super::worker_loop;
     use super::*;
     use mtperf_mtree::ModelTree;
@@ -571,7 +539,7 @@ mod tests {
         stream.close_input();
         let (reader, writer_half) = stream.split();
         let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
-        run_session(&shared, io::BufReader::new(reader), writer);
+        run_session(&*shared, io::BufReader::new(reader), writer);
         let out = String::from_utf8_lossy(&stream.output()).into_owned();
         assert_eq!(out.lines().count(), 3, "{out}");
         assert!(
@@ -875,14 +843,22 @@ mod tests {
         );
     }
 
-    // ---- TCP framing property tests (over SimStream) -------------------
+    // ---- Framing property tests (over SimStream) -----------------------
     //
     // The transport frames exactly like the protocol layer's
     // `read_bounded_line`, but these drive the full `run_session` path
     // over a `SimStream` with adversarial read faults — the mirror of the
-    // protocol proptests at the transport level.
+    // protocol proptests at the transport level. The exactly-once and
+    // oversize properties hold for both dispatchers the transport serves:
+    // the daemon, and a fleet router in front of one in-process replica.
     mod framing_props {
         use super::*;
+        use crate::serve::fleet::dst::engine_exchange;
+        use crate::serve::fleet::{
+            Fleet, FleetStats, ReplicaHealth, ReplicaLink, ReplicaSlot, BASE_COOLDOWN,
+            FAIL_THRESHOLD, MAX_COOLDOWN, RETRY_CAP,
+        };
+        use crate::serve::transport::Dispatch;
         use mtperf_detsim::{Fault, SimStream};
         use proptest::prelude::*;
 
@@ -893,6 +869,43 @@ mod tests {
                 (0u32..256).prop_map(|b| if b as u8 == b'\n' { b' ' } else { b as u8 }),
                 0..200,
             )
+        }
+
+        /// A replica link answering through an in-process engine.
+        struct EngineLink(Arc<Shared>);
+
+        impl ReplicaLink for EngineLink {
+            fn exchange(&mut self, line: &str, _wait: Duration) -> io::Result<String> {
+                Ok(engine_exchange(&self.0, line))
+            }
+
+            fn reset(&mut self) {}
+        }
+
+        /// A fleet router, at the CLI defaults, in front of one engine
+        /// replica.
+        fn one_replica_fleet(replica: &Arc<Shared>) -> Fleet {
+            Fleet {
+                replicas: vec![ReplicaSlot::new(
+                    "r0".to_string(),
+                    Box::new(EngineLink(Arc::clone(replica))),
+                    ReplicaHealth::new(FAIL_THRESHOLD, BASE_COOLDOWN, MAX_COOLDOWN),
+                )],
+                hedge_after: Duration::from_millis(50),
+                retry_attempts: 3,
+                retry_base: Duration::from_millis(2),
+                retry_cap: RETRY_CAP,
+                stats: FleetStats::default(),
+            }
+        }
+
+        /// Runs one session of `dispatcher` over `stream`; returns the
+        /// bytes written back.
+        fn drive(dispatcher: &dyn Dispatch, stream: &SimStream) -> String {
+            let (reader, writer_half) = stream.split();
+            let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
+            run_session(dispatcher, std::io::BufReader::new(reader), writer);
+            String::from_utf8_lossy(&stream.output()).into_owned()
         }
 
         proptest! {
@@ -909,31 +922,33 @@ mod tests {
                 interrupts in 0usize..4,
             ) {
                 let (shared, _, _) = test_shared("prop-framing", 64);
-                let stream = SimStream::new();
-                for chunk in &short_reads {
-                    stream.script_read_fault(Fault::ShortRead(*chunk));
-                }
-                for _ in 0..interrupts {
-                    stream.script_read_fault(Fault::InterruptRead);
-                }
-                let mut expected = 0usize;
-                for line in &lines {
-                    stream.push_input(line);
-                    stream.push_input(b"\n");
-                    if !String::from_utf8_lossy(line).trim().is_empty() {
-                        expected += 1;
+                let (replica, _, _) = test_shared("prop-framing-replica", 64);
+                let fleet = one_replica_fleet(&replica);
+                let expected = lines
+                    .iter()
+                    .filter(|l| !String::from_utf8_lossy(l).trim().is_empty())
+                    .count();
+                for dispatcher in [&*shared as &dyn Dispatch, &fleet] {
+                    let stream = SimStream::new();
+                    for chunk in &short_reads {
+                        stream.script_read_fault(Fault::ShortRead(*chunk));
                     }
+                    for _ in 0..interrupts {
+                        stream.script_read_fault(Fault::InterruptRead);
+                    }
+                    for line in &lines {
+                        stream.push_input(line);
+                        stream.push_input(b"\n");
+                    }
+                    stream.push_input(b"{\"op\":\"health\",\"id\":\"fin\"}\n");
+                    stream.close_input();
+                    let out = drive(dispatcher, &stream);
+                    prop_assert_eq!(out.lines().count(), expected + 1, "{}", out);
+                    prop_assert!(out.contains("\"id\":\"fin\""), "{}", out);
                 }
-                stream.push_input(b"{\"op\":\"health\",\"id\":\"fin\"}\n");
-                stream.close_input();
-                let (reader, writer_half) = stream.split();
-                let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
-                run_session(&shared, std::io::BufReader::new(reader), writer);
-                let out = String::from_utf8_lossy(&stream.output()).into_owned();
-                prop_assert_eq!(out.lines().count(), expected + 1, "{}", out);
-                prop_assert!(out.contains("\"id\":\"fin\""), "{}", out);
-                // Random bytes must never kill the daemon or queue garbage.
+                // Random bytes must never kill a daemon or queue garbage.
                 prop_assert_eq!(shared.queue.depth(), 0);
+                prop_assert_eq!(replica.queue.depth(), 0);
             }
 
             /// An over-limit line split across arbitrarily-sized reads is
@@ -945,32 +960,33 @@ mod tests {
                 chunk in 1usize..(1 << 20),
             ) {
                 let (shared, _, _) = test_shared("prop-oversize", 64);
-                let stream = SimStream::new();
-                // Split the giant line into `chunk`-sized reads.
+                let (replica, _, _) = test_shared("prop-oversize-replica", 64);
+                let fleet = one_replica_fleet(&replica);
                 let total = protocol::MAX_LINE_BYTES + extra;
-                let mut remaining = total;
-                while remaining > 0 {
-                    stream.script_read_fault(Fault::ShortRead(chunk));
-                    remaining = remaining.saturating_sub(chunk);
+                for dispatcher in [&*shared as &dyn Dispatch, &fleet] {
+                    let stream = SimStream::new();
+                    // Split the giant line into `chunk`-sized reads.
+                    let mut remaining = total;
+                    while remaining > 0 {
+                        stream.script_read_fault(Fault::ShortRead(chunk));
+                        remaining = remaining.saturating_sub(chunk);
+                    }
+                    stream.push_input(&vec![b'x'; total]);
+                    stream.push_input(b"\n{\"op\":\"health\",\"id\":\"after\"}\n");
+                    stream.close_input();
+                    let out = drive(dispatcher, &stream);
+                    prop_assert_eq!(
+                        out.matches("\"kind\":\"bad_request\"").count(), 1, "{}", out
+                    );
+                    prop_assert!(
+                        out.contains(&format!(
+                            "request line exceeds {} bytes",
+                            protocol::MAX_LINE_BYTES
+                        )),
+                        "{}", out
+                    );
+                    prop_assert!(out.contains("\"id\":\"after\""), "{}", out);
                 }
-                stream.push_input(&vec![b'x'; total]);
-                stream.push_input(b"\n{\"op\":\"health\",\"id\":\"after\"}\n");
-                stream.close_input();
-                let (reader, writer_half) = stream.split();
-                let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
-                run_session(&shared, std::io::BufReader::new(reader), writer);
-                let out = String::from_utf8_lossy(&stream.output()).into_owned();
-                prop_assert_eq!(
-                    out.matches("\"kind\":\"bad_request\"").count(), 1, "{}", out
-                );
-                prop_assert!(
-                    out.contains(&format!(
-                        "request line exceeds {} bytes",
-                        protocol::MAX_LINE_BYTES
-                    )),
-                    "{}", out
-                );
-                prop_assert!(out.contains("\"id\":\"after\""), "{}", out);
             }
 
             /// A request split byte-by-byte over the wire reassembles
@@ -993,7 +1009,7 @@ mod tests {
                 stream.close_input();
                 let (reader, writer_half) = stream.split();
                 let writer: SharedWriter = Arc::new(Mutex::new(Box::new(writer_half)));
-                run_session(&shared, std::io::BufReader::new(reader), writer);
+                run_session(&*shared, std::io::BufReader::new(reader), writer);
                 while let Some(job) = shared.queue.try_pop() {
                     super::super::super::answer(&shared, job);
                 }
