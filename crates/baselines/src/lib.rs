@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod cart;
-mod ensemble;
 mod knn;
 mod linreg;
 mod mlp;
@@ -36,7 +35,6 @@ mod suite;
 mod svr;
 
 pub use cart::{CartLearner, CartTree};
-pub use ensemble::{BaggedTrees, BaggingLearner};
 pub use knn::{KnnLearner, KnnModel};
 pub use linreg::GlobalLinear;
 pub use mlp::{MlpLearner, MlpModel};

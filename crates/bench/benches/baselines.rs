@@ -1,14 +1,13 @@
 //! Training-cost comparison across all regressors on an identical dataset —
 //! the runtime companion to the accuracy comparison of the repro harness.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mtperf_baselines::{CartLearner, GlobalLinear, KnnLearner, MlpLearner, SvrLearner};
-use mtperf_bench::synthetic_dataset;
+use mtperf_bench::{median_ns, synthetic_dataset};
 use mtperf_mtree::{Learner, M5Learner, M5Params};
 
-fn bench_training(c: &mut Criterion) {
+fn bench_training() {
     let data = synthetic_dataset(2_000, 20);
     let learners: Vec<Box<dyn Learner>> = vec![
         Box::new(M5Learner::new(M5Params::default().with_min_instances(60))),
@@ -21,17 +20,14 @@ fn bench_training(c: &mut Criterion) {
             ..SvrLearner::default()
         }),
     ];
-    let mut group = c.benchmark_group("baselines/train_2000x20");
-    group.sample_size(10);
+    eprintln!("\ngroup: baselines/train_2000x20");
     for learner in &learners {
-        group.bench_function(learner.name(), |b| {
-            b.iter(|| learner.fit(black_box(&data)).unwrap());
-        });
+        let name = format!("baselines/train_2000x20/{}", learner.name());
+        median_ns(&name, 10, || learner.fit(black_box(&data)).unwrap());
     }
-    group.finish();
 }
 
-fn bench_inference(c: &mut Criterion) {
+fn bench_inference() {
     let data = synthetic_dataset(2_000, 20);
     let row = data.row(999);
     let learners: Vec<Box<dyn Learner>> = vec![
@@ -40,15 +36,15 @@ fn bench_inference(c: &mut Criterion) {
         Box::new(KnnLearner::new(5)),
         Box::new(MlpLearner::new(16).with_epochs(20)),
     ];
-    let mut group = c.benchmark_group("baselines/predict");
+    eprintln!("\ngroup: baselines/predict");
     for learner in &learners {
         let model = learner.fit(&data).unwrap();
-        group.bench_function(learner.name(), |b| {
-            b.iter(|| model.predict(black_box(&row)));
-        });
+        let name = format!("baselines/predict/{}", learner.name());
+        median_ns(&name, 20, || model.predict(black_box(&row)));
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_inference);
-criterion_main!(benches);
+fn main() {
+    bench_training();
+    bench_inference();
+}

@@ -3,11 +3,10 @@
 //! six-model baseline suite. Every configuration computes bit-identical
 //! results; only wall time may differ, and only when cores are available.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mtperf_baselines::{standard_suite, train_suite};
-use mtperf_bench::synthetic_dataset;
+use mtperf_bench::{median_ns, synthetic_dataset};
 use mtperf_eval::cross_validate_with;
 use mtperf_linalg::parallel::Parallelism;
 use mtperf_mtree::{best_split_with, M5Learner, M5Params};
@@ -20,15 +19,14 @@ fn configs() -> Vec<(&'static str, Parallelism)> {
     ]
 }
 
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_speedup");
-    group.sample_size(10);
+fn main() {
+    eprintln!("\ngroup: parallel_speedup");
 
     let data = synthetic_dataset(4000, 20);
     let idx: Vec<usize> = (0..data.n_rows()).collect();
     for (name, par) in configs() {
-        group.bench_with_input(BenchmarkId::new("best_split", name), &par, |b, &par| {
-            b.iter(|| best_split_with(black_box(&data), &idx, 8, par));
+        median_ns(&format!("parallel_speedup/best_split/{name}"), 10, || {
+            best_split_with(black_box(&data), &idx, 8, par)
         });
     }
 
@@ -38,15 +36,10 @@ fn bench_parallel_speedup(c: &mut Criterion) {
             .with_min_instances(40)
             .with_parallelism(par);
         let learner = M5Learner::new(params);
-        group.bench_with_input(
-            BenchmarkId::new("cross_validate_10fold", name),
-            &par,
-            |b, &par| {
-                b.iter(|| {
-                    cross_validate_with(black_box(&learner), black_box(&cv_data), 10, 7, par)
-                        .unwrap()
-                });
-            },
+        median_ns(
+            &format!("parallel_speedup/cross_validate_10fold/{name}"),
+            10,
+            || cross_validate_with(black_box(&learner), black_box(&cv_data), 10, 7, par).unwrap(),
         );
     }
 
@@ -55,13 +48,10 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         let params = M5Params::default()
             .with_min_instances(20)
             .with_parallelism(Parallelism::Off);
-        group.bench_with_input(BenchmarkId::new("baseline_suite", name), &par, |b, &par| {
-            b.iter(|| train_suite(&standard_suite(&params), black_box(&suite_data), par).unwrap());
-        });
+        median_ns(
+            &format!("parallel_speedup/baseline_suite/{name}"),
+            10,
+            || train_suite(&standard_suite(&params), black_box(&suite_data), par).unwrap(),
+        );
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_parallel_speedup);
-criterion_main!(benches);

@@ -11,13 +11,12 @@
 //! Set `BENCH_SMOKE=1` to run a reduced sweep (≤100k rows, fewer reps) —
 //! that is what CI's `bench-smoke` job runs on every push.
 
-use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
 
 use mtperf_bench::{synthetic_dataset, synthetic_matrix};
 use mtperf_linalg::{parallel, Matrix, Parallelism};
-use mtperf_mtree::{CompiledTree, Dataset, M5Params, ModelTree};
+use mtperf_mtree::{CompiledTree, M5Params, ModelTree};
 use serde::Value;
 
 /// Rows used to *fit* the tree (the model under test is fixed; only the
@@ -54,7 +53,7 @@ fn reps_for(rows: usize) -> usize {
     }
 }
 
-fn fixture() -> (Dataset, ModelTree, CompiledTree) {
+fn fixture() -> (ModelTree, CompiledTree) {
     let data = synthetic_dataset(FIT_ROWS, ATTRS);
     let tree = ModelTree::fit(
         &data,
@@ -64,7 +63,7 @@ fn fixture() -> (Dataset, ModelTree, CompiledTree) {
     )
     .unwrap();
     let compiled = tree.compile();
-    (data, tree, compiled)
+    (tree, compiled)
 }
 
 /// The interpreted per-row scoring loop exactly as the evaluation harness
@@ -79,24 +78,6 @@ fn interpreted_pass(tree: &ModelTree, matrix: &Matrix) -> f64 {
         acc += tree.predict(black_box(&matrix.row(i).to_vec()));
     }
     acc
-}
-
-fn bench_predict_throughput(c: &mut Criterion) {
-    let (data, tree, compiled) = fixture();
-    let matrix = data.to_matrix();
-
-    let mut group = c.benchmark_group("predict_throughput/10k_rows");
-    group.throughput(Throughput::Elements(FIT_ROWS as u64));
-    group.bench_function("interpreted", |b| {
-        b.iter(|| interpreted_pass(&tree, &matrix));
-    });
-    group.bench_function("compiled_serial", |b| {
-        b.iter(|| compiled.predict_batch_with(black_box(&matrix), Parallelism::Off));
-    });
-    group.bench_function("compiled_parallel", |b| {
-        b.iter(|| compiled.predict_batch_with(black_box(&matrix), Parallelism::Auto));
-    });
-    group.finish();
 }
 
 /// Median rows/sec over repeated timed passes.
@@ -143,8 +124,8 @@ impl serde::Serialize for Raw {
 /// the measured serial/parallel cutover. The legacy flat keys stay at the
 /// top level, reporting the largest swept size, so older tooling keeps
 /// parsing the file.
-fn emit_bench_json() {
-    let (_, tree, compiled) = fixture();
+fn main() {
+    let (tree, compiled) = fixture();
     let max_threads = Parallelism::Auto.threads().max(1);
     parallel::warm_up();
 
@@ -260,14 +241,4 @@ fn emit_bench_json() {
     rendered.push('\n');
     std::fs::write(path, &rendered).expect("write BENCH_predict.json");
     eprintln!("wrote {path}:\n{rendered}");
-}
-
-criterion_group!(benches, bench_predict_throughput);
-
-fn main() {
-    // The JSON scaling curve runs first, on a cold CPU: the criterion group
-    // saturates the machine for minutes, and on quota-throttled containers
-    // everything measured after it reads up to 2× slow.
-    emit_bench_json();
-    benches();
 }

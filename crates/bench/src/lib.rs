@@ -1,19 +1,37 @@
-//! Shared fixtures for the Criterion benches.
+//! Shared fixtures and the timer for the bench programs.
 
-use mtperf_counters::SampleSet;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use mtperf_linalg::Matrix;
 use mtperf_mtree::Dataset;
 
-/// Simulates a small suite and returns the learning problem
-/// (deterministic: fixed seed).
-pub fn suite_dataset(instructions_per_workload: u64) -> Dataset {
-    let samples = suite_samples(instructions_per_workload);
-    mtperf::dataset_from_samples(&samples).expect("non-empty suite")
-}
-
-/// Simulates a small suite and returns the raw samples.
-pub fn suite_samples(instructions_per_workload: u64) -> SampleSet {
-    mtperf::sim::simulate_suite(instructions_per_workload, 10_000, 42)
+/// Times `routine` over `samples` samples, prints `  {name}: <ns> ns/iter`
+/// to stderr and returns the median per-call time in nanoseconds.
+///
+/// Each sample calibrates on one call, then times a batch of calls sized
+/// to about 10 ms of work (at least one call, at most a million) and
+/// divides by the batch size, so sub-microsecond routines still read
+/// above the clock's resolution.
+pub fn median_ns<R>(name: &str, samples: usize, mut routine: impl FnMut() -> R) -> f64 {
+    let mut times: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            black_box(routine());
+            let once = start.elapsed().max(Duration::from_nanos(1));
+            let iters =
+                (Duration::from_millis(10).as_nanos() / once.as_nanos()).clamp(1, 1_000_000);
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let ns = times[times.len() / 2];
+    eprintln!("  {name}: {ns:.1} ns/iter");
+    ns
 }
 
 /// A purely synthetic regression problem of `n` rows over `d` attributes
@@ -55,4 +73,19 @@ pub fn synthetic_matrix(n: usize, d: usize) -> Matrix {
     };
     let data: Vec<f64> = (0..n * d).map(|_| next() * 10.0).collect();
     Matrix::from_vec(n, d, data).expect("shape matches data")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_ns_calibrates_batches_and_reports_per_call_time() {
+        let mut calls = 0u64;
+        let ns = median_ns("count", 5, || calls += 1);
+        // A ~10 ms sample runs a trivial routine many times, not once...
+        assert!(calls > 100, "{calls} calls");
+        // ...and the result is the time of one call, not of the batch.
+        assert!(ns > 0.0 && ns < 1e4, "{ns} ns");
+    }
 }

@@ -28,7 +28,6 @@ mod breakdown;
 mod curve;
 mod cv;
 mod metrics;
-mod repeat;
 mod report;
 mod significance;
 
@@ -38,6 +37,5 @@ pub use cv::{
     cross_validate, cross_validate_with, train_test_split, CvResult, FoldResult, SkippedFold,
 };
 pub use metrics::{Metrics, MetricsError};
-pub use repeat::{repeated_cv, repeated_cv_with, RepeatedCv, Spread};
 pub use report::{comparison_table, scatter_csv};
 pub use significance::{paired_t_test, PairedTTest};

@@ -2,7 +2,7 @@
 //! bit-identical models and metrics. These are the tentpole guarantees the
 //! `--threads` flag documents — parallelism changes wall time, never results.
 
-use mtperf_eval::{cross_validate_with, repeated_cv_with};
+use mtperf_eval::cross_validate_with;
 use mtperf_linalg::Parallelism;
 use mtperf_mtree::{Dataset, M5Learner, M5Params, ModelTree};
 
@@ -60,18 +60,6 @@ fn cv_metrics_are_identical_at_any_thread_count() {
     }
     let auto = cross_validate_with(&learner, &data, 10, 2007, Parallelism::Auto).unwrap();
     assert_eq!(auto.pooled, serial.pooled);
-}
-
-#[test]
-fn repeated_cv_is_identical_at_any_thread_count() {
-    let data = dataset();
-    let learner = M5Learner::new(M5Params::default().with_min_instances(25));
-    let serial = repeated_cv_with(&learner, &data, 5, 3, 11, Parallelism::Off).unwrap();
-    let par = repeated_cv_with(&learner, &data, 5, 3, 11, Parallelism::Fixed(4)).unwrap();
-    assert_eq!(par.repeats, serial.repeats);
-    assert_eq!(par.correlation, serial.correlation);
-    assert_eq!(par.mae, serial.mae);
-    assert_eq!(par.rae_percent, serial.rae_percent);
 }
 
 #[test]

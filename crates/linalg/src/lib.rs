@@ -45,4 +45,4 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use parallel::{try_par_fill, try_par_map, try_par_map_cancel, CancelToken, Parallelism};
 pub use qr::lstsq_qr;
-pub use solve::{cholesky, cholesky_solve, lstsq, lstsq_ridge, solve_lower, solve_upper};
+pub use solve::{cholesky, cholesky_solve, lstsq, solve_lower, solve_upper};

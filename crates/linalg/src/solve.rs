@@ -170,33 +170,6 @@ pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Err(LinalgError::Singular)
 }
 
-/// Ridge regression: finds `beta` minimizing `‖X·beta − y‖² + lambda·‖beta‖²`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `y.len() != x.rows()`,
-/// [`LinalgError::Empty`] for an empty design matrix, and
-/// [`LinalgError::Singular`] if the penalized system is still singular
-/// (only possible for `lambda <= 0`).
-pub fn lstsq_ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, LinalgError> {
-    if x.rows() == 0 || x.cols() == 0 {
-        return Err(LinalgError::Empty);
-    }
-    if y.len() != x.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: x.shape(),
-            right: (y.len(), 1),
-            op: "lstsq_ridge",
-        });
-    }
-    let mut g = x.gram();
-    for i in 0..g.rows() {
-        g[(i, i)] += lambda;
-    }
-    let rhs = x.t_matvec(y)?;
-    cholesky_solve(&g, &rhs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,22 +297,5 @@ mod tests {
         assert!(lstsq(&x, &[1.0]).is_err());
         let empty = Matrix::zeros(0, 0);
         assert_eq!(lstsq(&empty, &[]).unwrap_err(), LinalgError::Empty);
-    }
-
-    #[test]
-    fn ridge_shrinks_coefficients() {
-        let x = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let y = [1.0, 3.0, 5.0];
-        let ols = lstsq(&x, &y).unwrap();
-        let ridge = lstsq_ridge(&x, &y, 10.0).unwrap();
-        assert!(ridge[1].abs() < ols[1].abs());
-    }
-
-    #[test]
-    fn ridge_rejects_bad_shapes() {
-        let x = Matrix::zeros(2, 2);
-        assert!(lstsq_ridge(&x, &[1.0], 1.0).is_err());
-        let empty = Matrix::zeros(0, 0);
-        assert!(lstsq_ridge(&empty, &[], 1.0).is_err());
     }
 }

@@ -6,6 +6,8 @@
 //! * trace identity — predictions and metrics are bit-identical with
 //!   tracing on or off, and the JSONL event stream covers ingest, training,
 //!   CV folds, and batch prediction;
+//! * thread-budget identity — `simulate` writes the same bytes under every
+//!   `--threads` setting;
 //! * the documented exit-code contract for bad flags and bad data.
 //!
 //! Runs the real binary via `CARGO_BIN_EXE_mtperf`, so these tests exercise
@@ -342,4 +344,43 @@ fn trace_artifacts_do_not_touch_saved_models() {
     let b = std::fs::read(&traced_model).expect("traced model");
     assert_eq!(a, b, "tracing changed the trained model");
     assert!(Path::new(&trace_path).exists());
+}
+
+#[test]
+fn simulate_output_is_identical_under_every_thread_budget() {
+    // The thread budget is a process global, so each setting needs its own
+    // process: only the real binary can pin this.
+    let dir = std::env::temp_dir().join("mtperf-obs-test-simulate-threads");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let simulate = |threads: &str| {
+        let csv = dir.join(format!("suite-{threads}.csv"));
+        let out = run(&[
+            "simulate",
+            "--out",
+            &csv.display().to_string(),
+            "--instructions",
+            "40000",
+            "--section-len",
+            "10000",
+            "--seed",
+            "2007",
+            "--threads",
+            threads,
+        ]);
+        assert!(
+            out.status.success(),
+            "--threads {threads}: {}",
+            stderr(&out)
+        );
+        std::fs::read(&csv).expect("read csv")
+    };
+    let serial = simulate("off");
+    assert!(!serial.is_empty());
+    for threads in ["1", "4", "auto"] {
+        assert!(
+            simulate(threads) == serial,
+            "simulate output changed under --threads {threads}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -63,7 +63,7 @@ mod rules;
 mod split;
 mod tree;
 
-pub use compiled::{CompiledRules, CompiledTree};
+pub use compiled::CompiledTree;
 pub use dataset::Dataset;
 pub use error::MtreeError;
 pub use learner::{Learner, M5Learner, Predictor};

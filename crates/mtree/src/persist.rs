@@ -282,7 +282,7 @@ impl RuleSet {
     /// Serializes the rule set as a version-2 dump (format marker
     /// `mtperf-rule-set`), preserving the full extraction state: rule order,
     /// conditions, per-rule models, coverage, and means. A rule set loaded
-    /// back (and compiled) predicts bit-identically to the in-memory one.
+    /// back predicts bit-identically to the in-memory one.
     pub fn to_json(&self) -> String {
         let body = serde_json::to_string_pretty(&RuleEnvelope {
             format: "mtperf-rule-set".into(),

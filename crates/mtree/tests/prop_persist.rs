@@ -62,20 +62,18 @@ proptest! {
     }
 
     /// Rule-extraction state (order, conditions, models, coverage) survives
-    /// its envelope: a loaded rule set equals the original and its compiled
-    /// form predicts bit-identically.
+    /// its envelope: a loaded rule set equals the original and predicts
+    /// bit-identically.
     #[test]
-    fn rule_set_roundtrip_compiles_bit_identically(d in dataset(70)) {
+    fn rule_set_roundtrip_predicts_bit_identically(d in dataset(70)) {
         let params = M5Params::default().with_min_instances(6).with_smoothing(false);
         let tree = ModelTree::fit(&d, &params).unwrap();
         let rules = RuleSet::from_tree(&tree);
         let loaded = RuleSet::from_json(&rules.to_json()).unwrap();
         prop_assert_eq!(&loaded, &rules);
-        let compiled = loaded.compile();
-        let batch = compiled.predict_batch_with(&d.to_matrix(), Parallelism::Off);
-        for (i, b) in batch.iter().enumerate() {
+        for i in 0..d.n_rows() {
             let row = d.row(i);
-            prop_assert_eq!(b.to_bits(), rules.predict(&row).to_bits());
+            prop_assert_eq!(loaded.predict(&row).to_bits(), rules.predict(&row).to_bits());
         }
     }
 

@@ -153,14 +153,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(report) = mtperf_obs::finish() {
-        if report.summarize {
-            eprint!("{}", report.summary());
-        }
-        match report.metrics {
-            Some(mtperf_obs::MetricsFormat::Table) => eprint!("{}", report.metrics_table()),
-            Some(mtperf_obs::MetricsFormat::Json) => eprintln!("{}", report.metrics_json()),
-            None => {}
-        }
+        mtperf::cli::emit_obs_report(&report);
     }
     ExitCode::SUCCESS
 }
