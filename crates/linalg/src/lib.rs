@@ -43,6 +43,6 @@ pub mod stats;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use parallel::{try_par_fill, try_par_map, try_par_map_cancel, CancelToken, Parallelism};
+pub use parallel::{try_par_fill, try_par_map, CancelToken, Parallelism};
 pub use qr::lstsq_qr;
 pub use solve::{cholesky, cholesky_solve, lstsq, solve_lower, solve_upper};

@@ -4,10 +4,10 @@
 //! the client workload, the transport fault script, and the filesystem
 //! fault script are all derived from it through
 //! [`mtperf_detsim::derive_seed`]. The harness drives the *production*
-//! session code — [`super::router::handle_line`],
-//! [`super::transport::run_session`], [`super::answer`], the real
-//! [`super::registry::Registry`] — on a single logical thread, with the
-//! global clock/RNG/fs seams pointed at simulators:
+//! session code — `router::handle_line`, `transport::run_session`,
+//! `serve::answer`, the real [`super::registry::Registry`] — on a single
+//! logical thread, with the global clock/RNG/fs seams pointed at
+//! simulators:
 //!
 //! * **Wire sessions** feed a scripted [`SimStream`] (short reads,
 //!   interrupts, latency, connection drops, oversized lines, invalid
@@ -142,22 +142,47 @@ impl SimReport {
     ///
     /// Propagates the write failure.
     pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        let mut text = format!(
-            "# mtperf dst trace seed={} sessions={} hash={:016x} verdict={}\n",
+        write_trace_file(
+            path,
+            "dst trace",
             self.seed,
             self.sessions,
             self.trace_hash(),
-            if self.passed() { "pass" } else { "FAIL" }
-        );
-        for v in &self.violations {
-            text.push_str(&format!("# violation: {v}\n"));
-        }
-        for line in &self.trace {
-            text.push_str(line);
-            text.push('\n');
-        }
-        mtperf_obs::fsio::atomic_write(path, text.as_bytes())
+            &self.violations,
+            &self.trace,
+        )
     }
+}
+
+/// Writes a simulation's event trace to `path` atomically: a header
+/// `# mtperf {kind} seed=… sessions=… hash=… verdict=…`, one
+/// `# violation:` line per violation, then one line per event. Both the
+/// serving and the fleet simulation write their traces through here.
+pub(crate) fn write_trace_file(
+    path: &Path,
+    kind: &str,
+    seed: u64,
+    sessions: usize,
+    hash: u64,
+    violations: &[String],
+    trace: &[String],
+) -> std::io::Result<()> {
+    let verdict = if violations.is_empty() {
+        "pass"
+    } else {
+        "FAIL"
+    };
+    let mut text = format!(
+        "# mtperf {kind} seed={seed} sessions={sessions} hash={hash:016x} verdict={verdict}\n"
+    );
+    for v in violations {
+        text.push_str(&format!("# violation: {v}\n"));
+    }
+    for line in trace {
+        text.push_str(line);
+        text.push('\n');
+    }
+    mtperf_obs::fsio::atomic_write(path, text.as_bytes())
 }
 
 /// Serializes every holder of a [`SeamGuard`]: the seams are global, so

@@ -1,7 +1,7 @@
 //! Deterministic simulation testing of the **fleet router**.
 //!
 //! One `u64` seed fully determines a simulated fleet: 2–4 in-process
-//! replica engines (each a real [`Registry`] + [`Shared`] driven through
+//! replica engines (each a real [`Registry`] + `Shared` driven through
 //! the production `handle_line`/`answer` path) behind one production
 //! [`Fleet`] router, on a single logical thread under virtual time. The
 //! script injects the failures the router exists to survive:
@@ -105,15 +105,23 @@ impl FleetSimReport {
         mtperf_obs::fsio::fnv1a_64(self.trace.join("\n").as_bytes())
     }
 
-    /// Writes the trace (one event per line) for offline diffing.
+    /// Writes the event trace to `path` atomically (one line per event,
+    /// after a header naming the seed and verdict and one line per
+    /// violation) for offline diffing.
     ///
     /// # Errors
     ///
     /// Any [`std::io::Error`] from writing `path`.
     pub fn write_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut body = self.trace.join("\n");
-        body.push('\n');
-        std::fs::write(path, body)
+        crate::serve::dst::write_trace_file(
+            path,
+            "dst fleet trace",
+            self.seed,
+            self.sessions,
+            self.trace_hash(),
+            &self.violations,
+            &self.trace,
+        )
     }
 }
 
@@ -630,5 +638,40 @@ mod tests {
             sessions: 30,
         });
         assert_ne!(a.trace_hash(), b.trace_hash());
+    }
+
+    #[test]
+    fn trace_file_names_the_run_then_lists_every_event() {
+        let report = run_fleet_sim(&FleetSimConfig {
+            seed: 5003,
+            sessions: 12,
+        });
+        let dir = std::env::temp_dir().join(format!(
+            "mtperf-dst-fleet-trace-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.trace");
+        report.write_trace(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut lines = text.lines();
+        let header = lines.next().unwrap();
+        let verdict = if report.passed() { "pass" } else { "FAIL" };
+        assert_eq!(
+            header,
+            format!(
+                "# mtperf dst fleet trace seed=5003 sessions=12 hash={:016x} verdict={verdict}",
+                report.trace_hash()
+            )
+        );
+        let violations: Vec<&str> = lines
+            .clone()
+            .take_while(|l| l.starts_with("# violation: "))
+            .collect();
+        assert_eq!(violations.len(), report.violations.len());
+        let events: Vec<&str> = lines.skip(violations.len()).collect();
+        assert_eq!(events, report.trace);
     }
 }

@@ -17,7 +17,7 @@
 //!   partitions, latency spikes, poisoned promotes) and its invariants.
 //!
 //! Client connections are the daemon's: [`Fleet`] implements
-//! [`super::transport::Dispatch`], so the router's stdio session, Unix
+//! `transport::Dispatch`, so the router's stdio session, Unix
 //! and TCP accept loops, line framing and ready/drain lifecycle are the
 //! same code `mtperf serve` runs.
 //!

@@ -104,14 +104,10 @@ impl ReplicaSlot {
 /// Router-level counters, exposed for the simulator's coverage floors.
 #[derive(Debug, Default)]
 pub struct FleetStats {
-    /// Client request lines dispatched.
-    pub requests: AtomicU64,
     /// Attempts moved to a different replica after a hard failure.
     pub failovers: AtomicU64,
     /// Predicts re-sent after exceeding the hedge threshold.
     pub hedged_predicts: AtomicU64,
-    /// Backoff sleeps taken from a retry budget.
-    pub retries: AtomicU64,
     /// Requests answered with the typed `unavailable` brown-out error.
     pub unavailable: AtomicU64,
     /// Mutating ops broadcast to the fleet.
@@ -323,7 +319,6 @@ fn route(fleet: &Fleet, line: &str, id: Option<String>, req: Option<&Request>) -
                 exclude = Some(pick);
                 match budget.next_delay(&*rng, remaining) {
                     Some(delay) => {
-                        fleet.stats.retries.fetch_add(1, Ordering::Relaxed);
                         fleet.stats.failovers.fetch_add(1, Ordering::Relaxed);
                         clock::sleep(delay);
                     }
@@ -522,7 +517,6 @@ fn merge_health(fleet: &Fleet, line: &str, id: Option<String>) -> String {
 /// Dispatches one client line to the fleet and returns exactly one
 /// response line (newline-terminated) plus the session verdict.
 pub(crate) fn dispatch_line(fleet: &Fleet, line: &str) -> (String, SessionControl) {
-    fleet.stats.requests.fetch_add(1, Ordering::Relaxed);
     let req: Option<Request> = serde_json::from_str(line).ok();
     let id = req.as_ref().and_then(|r| r.id.clone());
     let op = req.as_ref().and_then(|r| r.op.as_deref());

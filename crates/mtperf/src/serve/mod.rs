@@ -9,7 +9,7 @@
 //!   TCP accept loops, one framing buffer and one shared writer per
 //!   connection, so responses always return on the issuing connection.
 //!   The fleet router ([`fleet`]) runs the same transport; only the
-//!   per-line [`transport::Dispatch`] differs.
+//!   per-line `transport::Dispatch` differs.
 //! * [`router`] — parses and validates each line, resolves the target
 //!   model through the registry, consults the prediction cache, and
 //!   admits work through the fair queue.
@@ -180,7 +180,6 @@ pub(crate) struct Stats {
     pub(crate) deadline_misses: AtomicU64,
     pub(crate) degraded_responses: AtomicU64,
     pub(crate) reloads: AtomicU64,
-    pub(crate) internal_errors: AtomicU64,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
     pub(crate) quota_refusals: AtomicU64,
@@ -304,7 +303,6 @@ pub(crate) fn answer(shared: &Arc<Shared>, job: Job) {
             );
         }
         engine::PredictOutcome::Failed(msg) => {
-            shared.stats.internal_errors.fetch_add(1, Ordering::Relaxed);
             mtperf_obs::add("serve.internal_errors", 1);
             send(
                 &job.writer,

@@ -1,8 +1,8 @@
 //! The router layer: one protocol line in, typed dispatch out.
 //!
 //! Sits between [`super::transport`] (which owns connections and framing
-//! buffers, and calls [`handle_line`] through the daemon's
-//! [`super::transport::Dispatch`]) and the engine/registry layers (which
+//! buffers, and calls `handle_line` through the daemon's
+//! `transport::Dispatch`) and the engine/registry layers (which
 //! own models and compute). The router:
 //!
 //! * parses each bounded line into a [`Request`] and answers malformed

@@ -3,7 +3,7 @@
 //! (`mtperf serve --fleet`).
 //!
 //! Three transports, all speaking the identical newline-delimited
-//! protocol through the one [`run_session`]:
+//! protocol through the one `run_session`:
 //!
 //! * **stdio** — the primary transport; EOF on it drains the process.
 //! * **Unix socket** (`--socket <path>`) — local multi-client serving;
@@ -11,7 +11,7 @@
 //! * **TCP** (`--tcp <addr>`) — the fleet transport: remote clients,
 //!   many concurrent connections, per-connection framing state.
 //!
-//! What a line *means* is the [`Dispatch`] implementor's business: the
+//! What a line *means* is the `Dispatch` implementor's business: the
 //! daemon's `Shared` answers through `router::handle_line`, the fleet's
 //! `Fleet` through `fleet::router::dispatch_line`. Everything else —
 //! bounded-line framing, the typed refusal of oversized lines, the accept
@@ -21,7 +21,7 @@
 //! 25 ms against the drain flags, `EINTR`/`EAGAIN` absorbed by the
 //! bounded-backoff retry helper, and one thread per accepted connection.
 //! A connection's reader half owns its framing buffer; its writer half
-//! is a [`SharedWriter`] the workers answer through — so responses
+//! is a `SharedWriter` the workers answer through — so responses
 //! always return on the issuing connection, and a broken peer ends only
 //! its own session.
 

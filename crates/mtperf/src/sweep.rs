@@ -603,15 +603,16 @@ pub fn run(
                 hi = hi.max(p);
             }
             // Median by predicted CPI, ties broken by row index so the
-            // report is deterministic.
+            // report is deterministic. That order is strict and total, so
+            // selecting the middle row picks the one a full sort would.
             let mut order: Vec<usize> = (0..n_sections).collect();
-            order.sort_by(|&a, &b| {
-                preds[a]
-                    .partial_cmp(&preds[b])
-                    .expect("finite predictions")
-                    .then(a.cmp(&b))
-            });
-            let median_row = order[(n_sections - 1) / 2];
+            let (_, &mut median_row, _) =
+                order.select_nth_unstable_by((n_sections - 1) / 2, |&a, &b| {
+                    preds[a]
+                        .partial_cmp(&preds[b])
+                        .expect("finite predictions")
+                        .then(a.cmp(&b))
+                });
             let row = block.row(c * n_sections + median_row);
 
             let mut contribs = analysis::contributions(tree, row)?;

@@ -13,7 +13,7 @@
 //!   tight loop over flat arrays with no pointer chasing and no
 //!   data-dependent branches;
 //! * **models** — every node's linear model packed into a shared
-//!   [`ModelTable`]: one intercept per model plus `(attribute, coefficient)`
+//!   `ModelTable`: one intercept per model plus `(attribute, coefficient)`
 //!   term arrays addressed by a start-offset array;
 //! * **smoothing paths** — for each leaf, the precomputed bottom-up sequence
 //!   of `(ancestor model, instance count below)` pairs the M5 smoothing
@@ -27,7 +27,7 @@
 //! same blend expression `(n·p + k·q) / (n + k)` — so results are
 //! **bit-identical** to [`ModelTree::predict`] for every row, with smoothing
 //! on or off. [`CompiledTree::predict_batch`] fans row blocks out across the
-//! deterministic [`parallel`](mtperf_linalg::parallel) engine (input-order
+//! deterministic [`mtperf_linalg::parallel`] engine (input-order
 //! results, panic-isolated workers), so batch output is bit-identical at any
 //! [`Parallelism`] setting. The differential test suite
 //! (`tests/compiled_diff.rs`) pins this with `to_bits()` comparisons.
@@ -54,11 +54,10 @@
 
 use mtperf_detsim::clock;
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use mtperf_linalg::parallel::{self, try_par_fill, CancelToken, Parallelism};
-use mtperf_linalg::{LinalgError, Matrix};
+use mtperf_linalg::Matrix;
 
 use crate::node::Node;
 use crate::{LinearModel, ModelTree, MtreeError};
@@ -91,19 +90,6 @@ struct Scratch {
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Renders a caught panic payload the way the parallel engine does, so the
-/// single-row fast path reports the same [`LinalgError::WorkerPanic`]
-/// message a pooled worker would have.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// All linear models of a compiled artifact, packed into shared
@@ -538,7 +524,7 @@ impl CompiledTree {
     }
 
     /// Panic-isolated batch prediction: row blocks fan out through
-    /// [`try_par_map`], results return in input order, and a panicking
+    /// [`try_par_fill`], results return in input order, and a panicking
     /// worker surfaces as [`MtreeError::Linalg`] (worker panic) instead of
     /// unwinding.
     ///
@@ -595,25 +581,19 @@ impl CompiledTree {
         // the batch span, or the leaf-bucket counters — a "bucketing" of
         // one row is pure noise in the occupancy ratio. The error ladder
         // is unchanged: an empty batch succeeds even under a fired token,
-        // a fired token beats a single row's work, and a panic in that
-        // row's models surfaces as the same `WorkerPanic { index: 0 }` a
-        // pooled worker would report.
+        // and the single row runs through the serial engine, so a fired
+        // token beats its work and a panic in its models surfaces as the
+        // same `WorkerPanic { index: 0 }` a pooled worker would report.
         if n == 0 {
             return Ok(Vec::new());
         }
         if n == 1 {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(MtreeError::Cancelled);
-            }
             let row = &data[..cols];
-            return catch_unwind(AssertUnwindSafe(|| self.predict_leaf(self.route(row), row)))
-                .map(|p| vec![p])
-                .map_err(|payload| {
-                    MtreeError::from(LinalgError::WorkerPanic {
-                        index: 0,
-                        message: panic_message(payload.as_ref()),
-                    })
-                });
+            let mut out = vec![0.0];
+            try_par_fill(Parallelism::Off, &mut out, 1, cancel, |_, p| {
+                p[0] = self.predict_leaf(self.route(row), row);
+            })?;
+            return Ok(out);
         }
         let par = self.effective_parallelism(par, n, data, cols);
         let mut batch_span = mtperf_obs::span("predict_batch");

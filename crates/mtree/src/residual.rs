@@ -112,7 +112,8 @@ impl<L: Learner> Learner for ResidualLearner<L> {
 }
 
 /// A fitted residual model: the wrapped predictor's output plus the row's
-/// baseline column (see the [module docs](self) for the contract).
+/// baseline column (see [`ResidualLearner`] and [`residual_dataset`] for the
+/// contract).
 pub struct ResidualPredictor {
     base: Box<dyn Predictor>,
     baseline_attr: usize,

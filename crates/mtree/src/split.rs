@@ -1,6 +1,6 @@
 //! Split search: the standard-deviation-reduction (SDR) criterion.
 
-use mtperf_linalg::parallel::{par_map, Parallelism};
+use mtperf_linalg::parallel::{try_par_map, Parallelism};
 
 use crate::Dataset;
 
@@ -181,7 +181,11 @@ pub fn best_split_with(
         sd_total,
     };
     let attrs: Vec<usize> = (0..data.n_attrs()).collect();
-    let per_attr = par_map(par, &attrs, 1, |&attr| best_split_for_attr(&ctx, attr));
+    // A scan cannot fail, so a worker panic is a defect: re-raise it with
+    // the error's text (a CV fold around this search reports it as its
+    // own `WorkerPanic`).
+    let per_attr = try_par_map(par, &attrs, |&attr| best_split_for_attr(&ctx, attr))
+        .unwrap_or_else(|e| panic!("{e}"));
 
     mtperf_obs::add("mtree.split_searches", 1);
     mtperf_obs::add(

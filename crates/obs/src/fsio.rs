@@ -52,7 +52,7 @@ fn backoff_delay(attempt: usize) -> Duration {
 }
 
 /// Runs `op`, retrying transient failures ([`is_transient`]) up to four
-/// times with the jittered 1/2/4/8 ms backoff schedule ([`backoff_delay`]).
+/// times with the jittered 1/2/4/8 ms backoff schedule (`backoff_delay`).
 /// Non-transient errors and the final transient error propagate unchanged.
 ///
 /// Sleeps go through the global clock seam, so under a virtual clock the

@@ -8,7 +8,7 @@
 use mtperf::baselines::{standard_suite, CartLearner, GlobalLinear};
 use mtperf::prelude::*;
 use mtperf_eval::{comparison_table, paired_t_test};
-use mtperf_linalg::parallel::{self, par_map};
+use mtperf_linalg::parallel::{self, try_par_map};
 
 use crate::Context;
 
@@ -20,11 +20,12 @@ pub fn run(ctx: &Context) {
     // The six-model line-up cross-validates concurrently; results merge in
     // suite order, identical at any thread budget.
     let learners = standard_suite(&ctx.params);
-    let rows: Vec<(String, Metrics)> = par_map(parallel::global(), &learners, 1, |learner| {
+    let rows: Vec<(String, Metrics)> = try_par_map(parallel::global(), &learners, |learner| {
         eprintln!("[comparison] cross-validating {}...", learner.name());
         let cv = cross_validate(learner.as_ref(), &ctx.data, k, seed).expect("cv succeeds");
         (learner.name().to_string(), cv.pooled)
-    });
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
     let table = comparison_table(&rows);
     println!("{table}");
     Context::save_artifact("comparison.txt", &table);
