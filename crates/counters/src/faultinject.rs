@@ -33,8 +33,8 @@
 //! assert_eq!(corrupted.text, again.text);
 //! ```
 
-use mtperf_detsim::SimRng;
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::events::N_EVENTS;
 
@@ -77,30 +77,18 @@ pub struct Corruption {
 ///
 /// Applying operators consumes RNG state, so a sequence of `apply` calls on
 /// one injector yields a reproducible *composition* of faults.
-///
-/// The randomness comes from the workspace-shared [`SimRng`]
-/// (`mtperf-detsim`), so a simulation harness can hand an injector a fork
-/// of its root seed ([`FaultInjector::with_rng`]) and every corrupted byte
-/// is governed by the same replay key as the rest of the run. The draw
-/// sequence is bit-identical to the `SmallRng` this module used before the
-/// unification.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    rng: SimRng,
+    rng: SmallRng,
 }
 
 impl FaultInjector {
     /// Creates an injector whose fault choices are fully determined by
     /// `seed`.
     pub fn new(seed: u64) -> Self {
-        FaultInjector::with_rng(SimRng::seed_from_u64(seed))
-    }
-
-    /// Creates an injector drawing from an externally-owned RNG — usually
-    /// a [`SimRng::fork`] of a simulation's root seed, so fault choices
-    /// replay with the run that scripted them.
-    pub fn with_rng(rng: SimRng) -> Self {
-        FaultInjector { rng }
+        FaultInjector {
+            rng: SmallRng::seed_from_u64(seed),
+        }
     }
 
     /// Picks `k` distinct indices out of `0..n`, returned sorted.
@@ -237,19 +225,6 @@ mod tests {
             let b = FaultInjector::new(42).apply(op, &csv);
             assert_eq!(a, b, "{op:?}");
         }
-    }
-
-    #[test]
-    fn forked_rng_injectors_replay() {
-        let (_, csv) = base_csv(10);
-        let a = FaultInjector::with_rng(SimRng::seed_from_u64(42).fork("faults"))
-            .apply(FaultOp::FlipNonFinite(3), &csv);
-        let b = FaultInjector::with_rng(SimRng::seed_from_u64(42).fork("faults"))
-            .apply(FaultOp::FlipNonFinite(3), &csv);
-        assert_eq!(a, b, "same root seed + domain, same corruption");
-        let c = FaultInjector::with_rng(SimRng::seed_from_u64(42).fork("other"))
-            .apply(FaultOp::FlipNonFinite(3), &csv);
-        assert_ne!(a.lines, c.lines, "different domains draw independently");
     }
 
     #[test]

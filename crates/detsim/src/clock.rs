@@ -1,5 +1,5 @@
-//! The time seam: real and virtual clocks behind one trait, plus a
-//! process-global handle the rest of the workspace reads time through.
+//! The time seam: a virtual clock behind one trait, plus the process-global
+//! [`now`] and [`sleep`] the rest of the workspace reads time through.
 //!
 //! Time is represented as a [`Duration`] since the clock's epoch rather
 //! than as [`Instant`], because a virtual clock has no meaningful
@@ -8,16 +8,13 @@
 //! baggage, which is exactly what deadline accounting and event traces
 //! need.
 //!
-//! # The two implementations
+//! # Real and virtual time
 //!
-//! * [`RealClock`] — monotonic wall time ([`Instant`]) against a lazy
-//!   process epoch, sleeping via [`std::thread::sleep`]. The default.
-//! * [`VirtualClock`] — simulated time. In *auto-advance* mode a sleep
-//!   simply moves the clock forward and returns, so a retry ladder that
-//!   would wall-sleep 15 ms completes instantly with every timestamp still
-//!   observable. In *manual* mode sleepers park on a discrete-event queue
-//!   and a driver thread releases them with [`VirtualClock::advance`] /
-//!   [`VirtualClock::advance_to_next`], in deadline order.
+//! With no clock installed, [`now`] is monotonic wall time ([`Instant`])
+//! against a lazy process epoch and [`sleep`] is [`std::thread::sleep`].
+//! A [`VirtualClock`] is simulated time: a sleep simply moves the clock
+//! forward and returns, so a retry ladder that would wall-sleep 15 ms
+//! completes instantly with every timestamp still observable.
 //!
 //! # Example
 //!
@@ -25,23 +22,22 @@
 //! use mtperf_detsim::clock::{Clock, VirtualClock};
 //! use std::time::Duration;
 //!
-//! let clock = VirtualClock::auto();
+//! let clock = VirtualClock::new();
 //! let t0 = clock.now();
 //! clock.sleep(Duration::from_millis(8)); // returns immediately
 //! assert_eq!(clock.now() - t0, Duration::from_millis(8));
 //! ```
 
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A source of monotonic time and the ability to wait on it.
 ///
-/// `now` is the duration since the clock's epoch (process start for the
-/// real clock, construction for a virtual one). Implementations must be
-/// monotonic: `now` never decreases.
+/// `now` is the duration since the clock's epoch (construction for a
+/// virtual clock). Implementations must be monotonic: `now` never
+/// decreases.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Time elapsed since this clock's epoch.
     fn now(&self) -> Duration;
@@ -50,141 +46,40 @@ pub trait Clock: Send + Sync + fmt::Debug {
     fn sleep(&self, d: Duration);
 }
 
-/// The process-wide monotonic epoch [`RealClock`] measures against.
+/// The process-wide monotonic epoch real time is measured against.
 fn real_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Production clock: monotonic wall time, real sleeps.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RealClock;
-
-impl Clock for RealClock {
-    fn now(&self) -> Duration {
-        real_epoch().elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// Interior state of a [`VirtualClock`].
-struct VirtualState {
-    now: Duration,
-    /// Pending manual-mode sleeper deadlines (min-heap via `Reverse`).
-    sleepers: BinaryHeap<std::cmp::Reverse<Duration>>,
-}
-
 /// Simulated time: a counter that moves only when the simulation moves it.
 ///
-/// See the module docs for the auto-advance vs manual distinction. Both
-/// modes are deterministic for a single driving thread; manual mode is
-/// additionally deterministic for many sleepers because wake-ups happen in
-/// deadline order, one [`VirtualClock::advance_to_next`] at a time.
+/// A sleep advances the counter and returns immediately, which is
+/// deterministic for a single driving thread.
+#[derive(Debug, Default)]
 pub struct VirtualClock {
-    state: Mutex<VirtualState>,
-    wake: Condvar,
-    auto: bool,
-}
-
-impl fmt::Debug for VirtualClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VirtualClock")
-            .field("now", &self.now())
-            .field("auto", &self.auto)
-            .finish()
-    }
+    now: Mutex<Duration>,
 }
 
 impl VirtualClock {
-    /// A virtual clock whose sleeps advance time and return immediately.
-    /// The right mode for single-threaded simulations and unit tests.
-    pub fn auto() -> Arc<VirtualClock> {
-        Arc::new(VirtualClock {
-            state: Mutex::new(VirtualState {
-                now: Duration::ZERO,
-                sleepers: BinaryHeap::new(),
-            }),
-            wake: Condvar::new(),
-            auto: true,
-        })
+    /// A virtual clock at time zero whose sleeps advance time and return
+    /// immediately.
+    pub fn new() -> Arc<VirtualClock> {
+        Arc::new(VirtualClock::default())
     }
 
-    /// A virtual clock whose sleepers park until a driver advances time.
-    pub fn manual() -> Arc<VirtualClock> {
-        Arc::new(VirtualClock {
-            state: Mutex::new(VirtualState {
-                now: Duration::ZERO,
-                sleepers: BinaryHeap::new(),
-            }),
-            wake: Condvar::new(),
-            auto: false,
-        })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VirtualState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Moves time forward by `d` and wakes every sleeper whose deadline has
-    /// arrived.
-    pub fn advance(&self, d: Duration) {
-        let mut s = self.lock();
-        s.now += d;
-        drop(s);
-        self.wake.notify_all();
-    }
-
-    /// Jumps time to the earliest pending sleeper deadline (a discrete-
-    /// event step) and wakes it. Returns the new time, or `None` when no
-    /// sleeper is pending.
-    pub fn advance_to_next(&self) -> Option<Duration> {
-        let mut s = self.lock();
-        let next = s.sleepers.peek()?.0;
-        if next > s.now {
-            s.now = next;
-        }
-        let now = s.now;
-        drop(s);
-        self.wake.notify_all();
-        Some(now)
-    }
-
-    /// Number of sleepers currently parked (manual mode).
-    pub fn pending_sleepers(&self) -> usize {
-        self.lock().sleepers.len()
+    fn lock(&self) -> std::sync::MutexGuard<'_, Duration> {
+        self.now.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Duration {
-        self.lock().now
+        *self.lock()
     }
 
     fn sleep(&self, d: Duration) {
-        if self.auto {
-            let mut s = self.lock();
-            s.now += d;
-            drop(s);
-            self.wake.notify_all();
-            return;
-        }
-        let mut s = self.lock();
-        let deadline = s.now + d;
-        s.sleepers.push(std::cmp::Reverse(deadline));
-        while s.now < deadline {
-            s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        // Remove one instance of our deadline from the pending set. The
-        // heap has no remove-by-value; rebuild without one occurrence
-        // (sleeper counts are tiny — this is test infrastructure).
-        let mut rest: Vec<_> = std::mem::take(&mut s.sleepers).into_vec();
-        if let Some(pos) = rest.iter().position(|r| r.0 == deadline) {
-            rest.swap_remove(pos);
-        }
-        s.sleepers = rest.into();
+        *self.lock() += d;
     }
 }
 
@@ -202,44 +97,40 @@ pub fn install(clock: Arc<dyn Clock>) {
     OVERRIDDEN.store(true, Ordering::Release);
 }
 
-/// Removes any installed clock, returning the process to [`RealClock`].
+/// Removes any installed clock, returning the process to real time.
 pub fn uninstall() {
     OVERRIDDEN.store(false, Ordering::Release);
     let mut slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = None;
 }
 
-/// The currently installed clock, or a [`RealClock`] handle.
-pub fn global() -> Arc<dyn Clock> {
-    if OVERRIDDEN.load(Ordering::Acquire) {
-        if let Some(c) = OVERRIDE
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            return Arc::clone(c);
-        }
+/// The installed clock, or `None` on real time. Production's fast path
+/// is the one relaxed load.
+fn installed() -> Option<Arc<dyn Clock>> {
+    if !OVERRIDDEN.load(Ordering::Acquire) {
+        return None;
     }
-    static REAL: OnceLock<Arc<dyn Clock>> = OnceLock::new();
-    Arc::clone(REAL.get_or_init(|| Arc::new(RealClock)))
+    OVERRIDE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
 }
 
 /// Time since the global clock's epoch. Production fast path: one relaxed
 /// atomic load plus `Instant::now()`.
 pub fn now() -> Duration {
-    if !OVERRIDDEN.load(Ordering::Acquire) {
-        return real_epoch().elapsed();
+    match installed() {
+        Some(clock) => clock.now(),
+        None => real_epoch().elapsed(),
     }
-    global().now()
 }
 
 /// Sleeps on the global clock (really, or virtually under a simulator).
 pub fn sleep(d: Duration) {
-    if !OVERRIDDEN.load(Ordering::Acquire) {
-        std::thread::sleep(d);
-        return;
+    match installed() {
+        Some(clock) => clock.sleep(d),
+        None => std::thread::sleep(d),
     }
-    global().sleep(d);
 }
 
 #[cfg(test)]
@@ -247,17 +138,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn real_clock_is_monotonic_and_sleeps() {
-        let c = RealClock;
-        let a = c.now();
-        c.sleep(Duration::from_millis(2));
-        let b = c.now();
-        assert!(b >= a + Duration::from_millis(2), "{a:?} .. {b:?}");
-    }
-
-    #[test]
-    fn auto_virtual_clock_advances_without_waiting() {
-        let c = VirtualClock::auto();
+    fn virtual_clock_advances_without_waiting() {
+        let c = VirtualClock::new();
         assert_eq!(c.now(), Duration::ZERO);
         let wall = Instant::now();
         c.sleep(Duration::from_secs(3600));
@@ -266,61 +148,20 @@ mod tests {
             "did not wall-sleep"
         );
         assert_eq!(c.now(), Duration::from_secs(3600));
-        c.advance(Duration::from_millis(1));
-        assert_eq!(
-            c.now(),
-            Duration::from_secs(3600) + Duration::from_millis(1)
-        );
-    }
-
-    #[test]
-    fn manual_virtual_clock_wakes_sleepers_in_deadline_order() {
-        let c = VirtualClock::manual();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for (tag, ms) in [("late", 30u64), ("early", 10), ("mid", 20)] {
-            let c = Arc::clone(&c);
-            let order = Arc::clone(&order);
-            handles.push(std::thread::spawn(move || {
-                c.sleep(Duration::from_millis(ms));
-                order.lock().unwrap().push(tag);
-            }));
-        }
-        // Wait for all three to park, then release them one deadline at a
-        // time.
-        while c.pending_sleepers() < 3 {
-            std::thread::yield_now();
-        }
-        let mut woken = Vec::new();
-        while let Some(now) = c.advance_to_next() {
-            woken.push(now);
-            // Let the released sleeper record itself before the next step.
-            while c.pending_sleepers() > 3 - woken.len() {
-                std::thread::yield_now();
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            woken,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(30)
-            ]
-        );
-        assert_eq!(*order.lock().unwrap(), vec!["early", "mid", "late"]);
     }
 
     #[test]
     fn global_seam_defaults_to_real_and_swaps() {
-        // Default: real time moves on its own.
+        let _seam = crate::CLOCK_SEAM
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Default: monotonic wall time and real sleeps.
         let a = now();
+        sleep(Duration::from_millis(2));
         let b = now();
-        assert!(b >= a);
+        assert!(b >= a + Duration::from_millis(2), "{a:?} .. {b:?}");
         // Install a virtual clock: time is frozen until slept.
-        let v = VirtualClock::auto();
+        let v = VirtualClock::new();
         install(v.clone() as Arc<dyn Clock>);
         let t0 = now();
         let t1 = now();

@@ -1,9 +1,9 @@
-//! The filesystem seam: a process-global fault hook consulted before disk
+//! The filesystem seam: a process-global fault script consulted before disk
 //! operations.
 //!
 //! `obs::fsio` (and through it, engine save/reload) calls [`check`] with
 //! the operation and path before touching the real filesystem. With no
-//! hook installed that is one relaxed atomic load — production code never
+//! script installed that is one relaxed atomic load — production code never
 //! sees a simulated error. With a [`FaultScript`] installed, transient and
 //! permanent I/O errors become part of the test input: "the third write to
 //! the model artifact fails with `Interrupted`, twice" is a scripted rule,
@@ -15,13 +15,10 @@
 //! that, then "restarts" by reopening the engine from the untouched
 //! artifact.
 
-use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-use crate::rng::GenericRng;
 
 /// The filesystem operations the seam distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +35,6 @@ pub enum FsOp {
     Remove,
 }
 
-/// Decides whether a filesystem operation fails, and how.
-pub trait FaultHook: Send + Sync + fmt::Debug {
-    /// Returns the error this operation should fail with, or `None` to let
-    /// it proceed normally.
-    fn fault(&self, op: FsOp, path: &Path) -> Option<io::Error>;
-}
-
 /// One scripted failure rule.
 #[derive(Debug)]
 struct Rule {
@@ -55,15 +45,11 @@ struct Rule {
     remaining: u64,
 }
 
-/// A deterministic, scriptable [`FaultHook`]: explicit rules matched in
-/// order, plus an optional seeded background failure rate.
+/// Decides whether a filesystem operation fails, and how: explicit rules
+/// matched in order, so a seeded script replays exactly.
 #[derive(Debug, Default)]
 pub struct FaultScript {
     rules: Mutex<Vec<Rule>>,
-    /// Background fault probability per operation, in units of 2^-64
-    /// (0 = never). Drawn from `background_rng` so it replays.
-    background_threshold: AtomicU64,
-    background_rng: Mutex<Option<Arc<dyn GenericRng>>>,
     injected: AtomicU64,
 }
 
@@ -98,126 +84,80 @@ impl FaultScript {
         self.fail_times(op, path_contains, kind, u64::MAX);
     }
 
-    /// Enables a seeded background failure rate: each checked operation
-    /// independently fails with probability `p` (transient
-    /// `Interrupted`), drawn from `rng` so the sequence replays.
-    pub fn background(&self, p: f64, rng: Arc<dyn GenericRng>) {
-        let clamped = p.clamp(0.0, 1.0);
-        let threshold = if clamped >= 1.0 {
-            u64::MAX
-        } else {
-            (clamped * (u64::MAX as f64)) as u64
-        };
-        self.background_threshold
-            .store(threshold, Ordering::Relaxed);
-        *self
-            .background_rng
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(rng);
-    }
-
-    /// Removes every rule and the background rate.
+    /// Removes every rule.
     pub fn clear(&self) {
         self.rules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
-        self.background_threshold.store(0, Ordering::Relaxed);
-        *self
-            .background_rng
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// How many faults this script has injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
-}
 
-impl FaultHook for FaultScript {
+    /// Returns the error this operation should fail with, or `None` to let
+    /// it proceed normally.
     fn fault(&self, op: FsOp, path: &Path) -> Option<io::Error> {
         let path_str = path.to_string_lossy();
-        {
-            let mut rules = self.rules.lock().unwrap_or_else(PoisonError::into_inner);
-            for rule in rules.iter_mut() {
-                let op_match = rule.op.is_none_or(|o| o == op);
-                if op_match && rule.remaining > 0 && path_str.contains(&rule.path_contains) {
-                    if rule.remaining != u64::MAX {
-                        rule.remaining -= 1;
-                    }
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    // Name the rule's selector, not the live path: staging
-                    // paths embed the PID, and this message reaches client-
-                    // visible error responses — a replayed seed must produce
-                    // byte-identical output across processes.
-                    return Some(io::Error::new(
-                        rule.kind,
-                        format!("sim fault: {op:?} on {}", rule.path_contains),
-                    ));
+        let mut rules = self.rules.lock().unwrap_or_else(PoisonError::into_inner);
+        for rule in rules.iter_mut() {
+            let op_match = rule.op.is_none_or(|o| o == op);
+            if op_match && rule.remaining > 0 && path_str.contains(&rule.path_contains) {
+                if rule.remaining != u64::MAX {
+                    rule.remaining -= 1;
                 }
-            }
-            rules.retain(|r| r.remaining > 0);
-        }
-        let threshold = self.background_threshold.load(Ordering::Relaxed);
-        if threshold > 0 {
-            let draw = self
-                .background_rng
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .as_ref()
-                .map(|r| r.next_u64());
-            if let Some(d) = draw {
-                if d < threshold {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    // Same replay-stability rule as above: no live paths.
-                    return Some(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        format!("sim background fault: {op:?}"),
-                    ));
-                }
+                self.injected.fetch_add(1, Ordering::Relaxed);
+                // Name the rule's selector, not the live path: staging
+                // paths embed the PID, and this message reaches client-
+                // visible error responses — a replayed seed must produce
+                // byte-identical output across processes.
+                return Some(io::Error::new(
+                    rule.kind,
+                    format!("sim fault: {op:?} on {}", rule.path_contains),
+                ));
             }
         }
+        rules.retain(|r| r.remaining > 0);
         None
     }
 }
 
-/// Set when a fault hook is installed; production's fast path is one
+/// Set when a fault script is installed; production's fast path is one
 /// relaxed load and no further work.
 static OVERRIDDEN: AtomicBool = AtomicBool::new(false);
-static OVERRIDE: Mutex<Option<Arc<dyn FaultHook>>> = Mutex::new(None);
+static OVERRIDE: Mutex<Option<Arc<FaultScript>>> = Mutex::new(None);
 
-/// Installs `hook` as the process-global filesystem fault source. Process-
-/// wide; intended for simulation harnesses and dedicated test binaries.
-pub fn install(hook: Arc<dyn FaultHook>) {
+/// Installs `script` as the process-global filesystem fault source.
+/// Process-wide; intended for simulation harnesses and dedicated test
+/// binaries.
+pub fn install(script: Arc<FaultScript>) {
     let mut slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(hook);
+    *slot = Some(script);
     OVERRIDDEN.store(true, Ordering::Release);
 }
 
-/// Removes any installed hook; filesystem operations proceed unimpeded.
+/// Removes any installed script; filesystem operations proceed unimpeded.
 pub fn uninstall() {
     OVERRIDDEN.store(false, Ordering::Release);
     let mut slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = None;
 }
 
-/// Consults the installed hook (if any) before a filesystem operation.
+/// Consults the installed script (if any) before a filesystem operation.
 /// Seam-aware I/O calls this first and propagates the error as if the OS
 /// had returned it.
 pub fn check(op: FsOp, path: &Path) -> io::Result<()> {
     if !OVERRIDDEN.load(Ordering::Acquire) {
         return Ok(());
     }
-    let hook = {
-        let slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.as_ref().map(Arc::clone)
-    };
-    match hook {
-        Some(h) => match h.fault(op, path) {
-            Some(err) => Err(err),
-            None => Ok(()),
-        },
+    let script = OVERRIDE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    match script.and_then(|s| s.fault(op, path)) {
+        Some(err) => Err(err),
         None => Ok(()),
     }
 }
@@ -225,7 +165,6 @@ pub fn check(op: FsOp, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
     use std::path::PathBuf;
 
     #[test]
@@ -264,23 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn background_rate_is_seeded_and_replays() {
-        let run = |seed: u64| -> Vec<bool> {
-            let script = FaultScript::new();
-            script.background(0.3, Arc::new(SimRng::seed_from_u64(seed)));
-            let p = PathBuf::from("/x");
-            (0..64)
-                .map(|_| script.fault(FsOp::Sync, &p).is_some())
-                .collect()
-        };
-        let a = run(11);
-        let b = run(11);
-        assert_eq!(a, b, "same seed, same fault sequence");
-        assert!(a.iter().any(|&x| x), "p=0.3 over 64 draws fires");
-        assert!(a.iter().any(|&x| !x), "...but not always");
-    }
-
-    #[test]
     fn fault_messages_are_path_independent() {
         // Staging paths embed the PID; if it leaked into the message, a
         // replayed seed would produce different client-visible bytes in a
@@ -308,7 +230,7 @@ mod tests {
         assert!(check(FsOp::Write, &p).is_ok());
         let script = Arc::new(FaultScript::new());
         script.fail_times(None, "anything", io::ErrorKind::TimedOut, 1);
-        install(script.clone() as Arc<dyn FaultHook>);
+        install(script.clone());
         assert_eq!(
             check(FsOp::Write, &p).unwrap_err().kind(),
             io::ErrorKind::TimedOut

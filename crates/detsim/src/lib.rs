@@ -8,22 +8,22 @@
 //! the only way to test the claims is to wait on real time and hope real I/O
 //! misbehaves on cue. This crate turns each effect into a *seam*:
 //!
-//! * [`clock`] — a [`clock::Clock`] trait with a production
-//!   [`clock::RealClock`] and a [`clock::VirtualClock`] whose time is data:
-//!   sleeping advances a counter (or parks on a discrete-event queue)
-//!   instead of the scheduler, so a 1/2/4/8 ms retry ladder unit-tests in
-//!   microseconds and deadline races replay exactly.
-//! * [`rng`] — a [`rng::GenericRng`] trait with an entropy-seeded
-//!   production source and a seeded, forkable [`rng::SimRng`] (xoshiro256++
-//!   behind a lock, in the style of MoosicBox's `switchy` simulator
-//!   packages), plus [`rng::derive_seed`] so one root seed governs every
+//! * [`clock`] — a [`clock::Clock`] trait and a [`clock::VirtualClock`]
+//!   whose time is data: sleeping advances a counter instead of the
+//!   scheduler, so a 1/2/4/8 ms retry ladder unit-tests in microseconds and
+//!   deadline races replay exactly.
+//! * [`rng`] — [`rng::SimRng`], a seeded stream shared by reference
+//!   (xoshiro256++ behind a lock, in the style of MoosicBox's `switchy`
+//!   simulator packages) that also backs the entropy-seeded production
+//!   source, plus [`rng::derive_seed`] so one root seed governs every
 //!   subsystem without their draws interleaving.
-//! * [`net`] — [`net::SimStream`], an in-memory transport whose fault
-//!   script (transient errors, partial writes, drops, latency) is part of
-//!   the test input.
-//! * [`fs`] — a process-global fault hook consulted by `obs::fsio` before
-//!   filesystem operations, so torn-save and retry-exhaustion paths are
-//!   drivable from a seed instead of from `kill -9` timing luck.
+//! * [`net`] — [`net::SimStream`], an in-memory transport whose read-side
+//!   fault script (transient errors, short reads, drops, latency) is part
+//!   of the test input.
+//! * [`fs`] — a process-global [`fs::FaultScript`] consulted by
+//!   `obs::fsio` before filesystem operations, so torn-save and
+//!   retry-exhaustion paths are drivable from a seed instead of from
+//!   `kill -9` timing luck.
 //!
 //! # Production stays production
 //!
@@ -42,7 +42,11 @@ pub mod fs;
 pub mod net;
 pub mod rng;
 
-pub use clock::{Clock, RealClock, VirtualClock};
-pub use fs::{FaultHook, FaultScript, FsOp};
+pub use clock::{Clock, VirtualClock};
+pub use fs::{FaultScript, FsOp};
 pub use net::{Fault, SimStream};
-pub use rng::{derive_seed, EntropyRng, GenericRng, SimRng};
+pub use rng::{derive_seed, SimRng};
+
+/// Serializes the unit tests that install the process-global clock.
+#[cfg(test)]
+static CLOCK_SEAM: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -2,11 +2,11 @@
 //!
 //! [`SimStream`] implements [`Read`] + [`Write`] over two byte buffers (an
 //! inbox the simulated peer filled, an outbox capturing what the stack
-//! wrote), with a *fault script* applied in order as operations happen:
-//! transient errors, short reads/writes, connection drops, and latency
-//! charged to the simulated clock. The script is part of the test input, so
-//! a failing interaction is replayed by re-running the same script — no
-//! real sockets, no timing luck.
+//! wrote), with a *fault script* applied in order as reads happen:
+//! transient errors, short reads, connection drops, and latency charged to
+//! the simulated clock. Writes always succeed until the peer drops. The
+//! script is part of the test input, so a failing interaction is replayed
+//! by re-running the same script — no real sockets, no timing luck.
 //!
 //! The serving stack's session loop is generic over `R: BufRead` and
 //! `W: Write`, so a `SimStream` (or its [`SimStream::split`] halves) drops
@@ -20,7 +20,8 @@ use std::time::Duration;
 
 use crate::clock;
 
-/// One scripted misbehavior, consumed in order as I/O operations occur.
+/// One scripted misbehavior of the read side, consumed in order as reads
+/// occur.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// The next read returns [`io::ErrorKind::Interrupted`] once (the
@@ -29,15 +30,10 @@ pub enum Fault {
     /// The next read returns at most this many bytes even if more are
     /// buffered — a split/partial line across reads.
     ShortRead(usize),
-    /// The next write accepts at most this many bytes (a partial write the
-    /// caller must continue).
-    ShortWrite(usize),
-    /// The next write returns [`io::ErrorKind::Interrupted`] once.
-    InterruptWrite,
     /// The connection drops: this and every later read yields EOF and every
     /// later write [`io::ErrorKind::BrokenPipe`].
     Drop,
-    /// The next operation first sleeps this long on the global clock
+    /// The next read first sleeps this long on the global clock
     /// (instant under a virtual clock, but the timestamps advance).
     Latency(Duration),
 }
@@ -47,7 +43,6 @@ struct StreamState {
     inbox: VecDeque<u8>,
     outbox: Vec<u8>,
     read_faults: VecDeque<Fault>,
-    write_faults: VecDeque<Fault>,
     /// Closed for input: reads past the inbox return EOF instead of
     /// blocking-equivalent `WouldBlock`.
     input_closed: bool,
@@ -90,29 +85,9 @@ impl SimStream {
         self.lock().read_faults.push_back(fault);
     }
 
-    /// Scripts a fault against the write side, applied in push order.
-    pub fn script_write_fault(&self, fault: Fault) {
-        self.lock().write_faults.push_back(fault);
-    }
-
     /// Everything the stack has written so far.
     pub fn output(&self) -> Vec<u8> {
         self.lock().outbox.clone()
-    }
-
-    /// Takes and clears the captured output.
-    pub fn take_output(&self) -> Vec<u8> {
-        std::mem::take(&mut self.lock().outbox)
-    }
-
-    /// Whether a [`Fault::Drop`] has severed the connection.
-    pub fn is_dropped(&self) -> bool {
-        self.lock().dropped
-    }
-
-    /// Bytes still queued for reading.
-    pub fn pending_input(&self) -> usize {
-        self.lock().inbox.len()
     }
 
     /// Two handles to the same stream, conventionally (reader, writer).
@@ -155,14 +130,6 @@ impl Read for SimStream {
                     clock::sleep(d);
                     // Latency stacks with whatever fault follows it.
                 }
-                // Write-side faults scripted on the read queue are a
-                // script bug; surface loudly rather than misbehave quietly.
-                Some(other) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("sim: {other:?} scripted on read side"),
-                    ));
-                }
             }
         }
         let mut s = self.lock();
@@ -189,51 +156,12 @@ impl Read for SimStream {
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
+        let mut s = self.lock();
+        if s.dropped {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sim: peer gone"));
         }
-        let mut cap = buf.len();
-        loop {
-            let fault = {
-                let mut s = self.lock();
-                if s.dropped {
-                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sim: peer gone"));
-                }
-                s.write_faults.pop_front()
-            };
-            match fault {
-                None => break,
-                Some(Fault::InterruptWrite) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "sim: interrupted write",
-                    ));
-                }
-                Some(Fault::ShortWrite(n)) => {
-                    cap = cap.min(n.max(1));
-                    break;
-                }
-                Some(Fault::Drop) => {
-                    self.lock().dropped = true;
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "sim: connection dropped",
-                    ));
-                }
-                Some(Fault::Latency(d)) => {
-                    clock::sleep(d);
-                }
-                Some(other) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("sim: {other:?} scripted on write side"),
-                    ));
-                }
-            }
-        }
-        let n = cap.min(buf.len());
-        self.lock().outbox.extend_from_slice(&buf[..n]);
-        Ok(n)
+        s.outbox.extend_from_slice(buf);
+        Ok(buf.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -300,27 +228,16 @@ mod tests {
         let (mut r, mut w) = s.split();
         let mut buf = [0u8; 8];
         assert_eq!(r.read(&mut buf).unwrap(), 0, "drop reads as EOF");
-        assert!(s.is_dropped());
         let err = w.write(b"late").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
-    fn short_and_interrupted_writes() {
-        let s = SimStream::new();
-        s.script_write_fault(Fault::ShortWrite(3));
-        s.script_write_fault(Fault::InterruptWrite);
-        let mut w = s.clone();
-        assert_eq!(w.write(b"abcdef").unwrap(), 3);
-        let err = w.write(b"def").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(w.write(b"def").unwrap(), 3);
-        assert_eq!(s.output(), b"abcdef");
-    }
-
-    #[test]
     fn latency_charges_the_virtual_clock() {
-        let v = crate::clock::VirtualClock::auto();
+        let _seam = crate::CLOCK_SEAM
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let v = crate::clock::VirtualClock::new();
         crate::clock::install(v.clone());
         let s = SimStream::new();
         s.push_input(b"a");

@@ -1,120 +1,54 @@
-//! The randomness seam: one trait over "where do random bits come from",
-//! with an entropy-seeded production source and a seeded simulator source.
+//! The randomness seam: one seeded stream type, [`SimRng`], that many
+//! call sites share by reference, plus the process-global stream that
+//! production sites such as retry jitter draw from.
 //!
 //! Scattered ad-hoc `SmallRng::seed_from_u64` call sites each own a private
 //! seed, so "replay the failing run" means collecting one seed per
-//! subsystem. This module centralizes the discipline:
+//! subsystem. This module centralizes the discipline for shared streams:
 //!
-//! * [`GenericRng`] — shared-reference random bits (`&self`, interior
-//!   mutability) so one source can be threaded through concurrent code.
 //! * [`SimRng`] — a seeded xoshiro256++ stream behind a lock, bit-identical
-//!   to `SmallRng::seed_from_u64` for the same seed. Cloning *forks* the
-//!   current state (value semantics), which is what deterministic
-//!   generators embedded in cloneable structs need; shared-handle semantics
-//!   are an `Arc<SimRng>` away.
-//! * [`EntropyRng`] — the production source: seeded once per process from
+//!   to `SmallRng::seed_from_u64` for the same seed. Every method takes
+//!   `&self`, so one stream serves many call sites (an `Arc<SimRng>`
+//!   across threads). A generator that owns its stream outright holds a
+//!   plain `SmallRng` instead and pays no lock per draw.
+//! * the production stream — one process-global `SimRng` seeded from
 //!   system entropy (time, PID, ASLR), then deterministic *within* the
 //!   process. Non-reproducible across runs, as production randomness
-//!   should be.
+//!   should be. [`global`] returns it unless a simulator [`install`]ed a
+//!   seeded one.
 //! * [`derive_seed`] — stable domain separation, so a single root seed
-//!   (e.g. `MTPERF_SIM_SEED`) governs fault injection, workload
-//!   generation, and session scheduling without their draws interleaving.
+//!   (e.g. `MTPERF_SIM_SEED`) governs retry jitter, fault scripts, and
+//!   session scheduling without their draws interleaving.
 //!
 //! # Example
 //!
 //! ```
-//! use mtperf_detsim::rng::{derive_seed, GenericRng, SimRng};
+//! use mtperf_detsim::rng::{derive_seed, SimRng};
 //!
 //! let root = 42u64;
 //! let faults = SimRng::seed_from_u64(derive_seed(root, "faults"));
-//! let workload = SimRng::seed_from_u64(derive_seed(root, "workload"));
-//! assert_ne!(faults.next_u64(), workload.next_u64());
+//! let schedule = SimRng::seed_from_u64(derive_seed(root, "schedule"));
+//! assert_ne!(faults.next_u64(), schedule.next_u64());
 //! // Same seed, same stream:
 //! let again = SimRng::seed_from_u64(derive_seed(root, "faults"));
 //! let replay = SimRng::seed_from_u64(derive_seed(root, "faults"));
 //! assert_eq!(again.next_u64(), replay.next_u64());
 //! ```
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-/// Shared-reference source of random bits, with derived sampling helpers.
-///
-/// All methods take `&self`: implementations use interior mutability so a
-/// single source can serve many call sites. The helpers are deliberately
-/// simple, deterministic recipes (widening-multiply index, 53-bit float) —
-/// code that must stay bit-compatible with historical `rand` streams keeps
-/// using the [`rand::Rng`] extension methods through [`SimRng`]'s
-/// [`RngCore`] impl instead.
-pub trait GenericRng: Send + Sync + fmt::Debug {
-    /// The next 64 random bits.
-    fn next_u64(&self) -> u64;
-
-    /// The next 32 random bits (high half of a 64-bit draw, as xoshiro
-    /// recommends).
-    fn next_u32(&self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    /// Uniform index in `0..n` via the widening-multiply map (`n` ≥ 1).
-    fn gen_index(&self, n: usize) -> usize {
-        assert!(n > 0, "gen_index needs a non-empty range");
-        (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
-    }
-
-    /// Uniform `f64` in `[0, 1)` (53-bit multiply recipe).
-    fn gen_f64(&self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
-    fn gen_bool(&self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-}
-
-/// Seeded simulator source: xoshiro256++ behind a lock, bit-identical to
+/// Seeded shared stream: xoshiro256++ behind a lock, bit-identical to
 /// [`SmallRng::seed_from_u64`] for the same seed.
 ///
-/// `Clone` forks the stream at its current state: the clone and the
-/// original produce the same continuation independently. That preserves
-/// the value semantics of generators embedded in `Clone` structs (an
-/// `InstrStream` cloned mid-run replays identically). For one shared
-/// stream, pass `Arc<SimRng>` — every [`GenericRng`] method takes `&self`.
+/// Every method takes `&self`. The sampling helpers are deliberately
+/// simple, deterministic recipes (widening-multiply index, 53-bit float).
+#[derive(Debug)]
 pub struct SimRng {
     inner: Mutex<SmallRng>,
-}
-
-impl fmt::Debug for SimRng {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimRng").finish_non_exhaustive()
-    }
-}
-
-impl Clone for SimRng {
-    fn clone(&self) -> Self {
-        SimRng {
-            inner: Mutex::new(self.lock().clone()),
-        }
-    }
-}
-
-impl PartialEq for SimRng {
-    fn eq(&self, other: &Self) -> bool {
-        *self.lock() == *other.lock()
-    }
 }
 
 impl SimRng {
@@ -126,65 +60,33 @@ impl SimRng {
         }
     }
 
-    /// Wraps an existing generator state.
-    pub fn from_small(rng: SmallRng) -> SimRng {
-        SimRng {
-            inner: Mutex::new(rng),
-        }
+    /// The next 64 random bits.
+    pub fn next_u64(&self) -> u64 {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next_u64()
     }
 
-    /// A child stream for `domain`, derived from this stream's seed line
-    /// without consuming shared state draws: the child is seeded from one
-    /// draw of this stream mixed with the domain tag.
-    pub fn fork(&self, domain: &str) -> SimRng {
-        SimRng::seed_from_u64(derive_seed(self.next_u64(), domain))
+    /// Uniform index in `0..n` via the widening-multiply map (`n` ≥ 1).
+    pub fn gen_index(&self, n: usize) -> usize {
+        assert!(n > 0, "gen_index needs a non-empty range");
+        (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SmallRng> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl GenericRng for SimRng {
-    fn next_u64(&self) -> u64 {
-        self.lock().next_u64()
+    /// Uniform `f64` in `[0, 1)` (53-bit multiply recipe).
+    pub fn gen_f64(&self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    fn next_u32(&self) -> u32 {
-        self.lock().next_u32()
-    }
-
-    fn fill_bytes(&self, dest: &mut [u8]) {
-        self.lock().fill_bytes(dest);
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    pub fn gen_bool(&self, p: f64) -> bool {
+        self.gen_f64() < p
     }
 }
 
-/// [`RngCore`] pass-through, so [`rand::Rng`]'s `gen`/`gen_range` work on a
-/// `SimRng` with the exact historical `rand 0.8` sampling algorithms —
-/// the property that keeps fault-injection and workload streams
-/// bit-identical after their port onto this type.
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.lock().next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.lock().next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.lock().fill_bytes(dest);
-    }
-}
-
-/// Production source: one process-global xoshiro stream seeded from system
-/// entropy (monotonic + wall time, PID, and a stack address for ASLR
-/// spice). Within a process the stream is a normal deterministic PRNG;
-/// across processes it is effectively unpredictable — which is all the
-/// production uses (retry jitter) need.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EntropyRng;
-
+/// A seed from system entropy: monotonic + wall time, PID, and a stack
+/// address for ASLR spice.
 fn entropy_seed() -> u64 {
     let pid = u64::from(std::process::id());
     let wall = std::time::SystemTime::now()
@@ -195,15 +97,12 @@ fn entropy_seed() -> u64 {
     derive_seed(wall ^ pid.rotate_left(32), "entropy") ^ stack.rotate_left(17)
 }
 
-fn entropy_stream() -> &'static SimRng {
-    static STREAM: OnceLock<SimRng> = OnceLock::new();
-    STREAM.get_or_init(|| SimRng::seed_from_u64(entropy_seed()))
-}
-
-impl GenericRng for EntropyRng {
-    fn next_u64(&self) -> u64 {
-        entropy_stream().next_u64()
-    }
+/// The production stream, seeded once per process from [`entropy_seed`].
+/// Within a process it is a normal deterministic PRNG; across processes it
+/// is effectively unpredictable, which is all retry jitter needs.
+fn entropy_stream() -> &'static Arc<SimRng> {
+    static STREAM: OnceLock<Arc<SimRng>> = OnceLock::new();
+    STREAM.get_or_init(|| Arc::new(SimRng::seed_from_u64(entropy_seed())))
 }
 
 /// Stable domain separation: mixes `root` with an FNV-1a hash of `domain`
@@ -226,26 +125,26 @@ pub fn derive_seed(root: u64, domain: &str) -> u64 {
 
 /// Set when a simulator RNG is installed as the process-global source.
 static OVERRIDDEN: AtomicBool = AtomicBool::new(false);
-static OVERRIDE: Mutex<Option<Arc<dyn GenericRng>>> = Mutex::new(None);
+static OVERRIDE: Mutex<Option<Arc<SimRng>>> = Mutex::new(None);
 
 /// Installs `rng` as the process-global randomness source consulted by
 /// seam-aware production sites (e.g. retry jitter). Process-wide; intended
 /// for simulation harnesses and dedicated test binaries.
-pub fn install(rng: Arc<dyn GenericRng>) {
+pub fn install(rng: Arc<SimRng>) {
     let mut slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(rng);
     OVERRIDDEN.store(true, Ordering::Release);
 }
 
-/// Returns the process to the entropy-seeded production source.
+/// Returns the process to the entropy-seeded production stream.
 pub fn uninstall() {
     OVERRIDDEN.store(false, Ordering::Release);
     let mut slot = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = None;
 }
 
-/// The installed source, or [`EntropyRng`].
-pub fn global() -> Arc<dyn GenericRng> {
+/// The installed stream, or the entropy-seeded production one.
+pub fn global() -> Arc<SimRng> {
     if OVERRIDDEN.load(Ordering::Acquire) {
         if let Some(r) = OVERRIDE
             .lock()
@@ -255,8 +154,7 @@ pub fn global() -> Arc<dyn GenericRng> {
             return Arc::clone(r);
         }
     }
-    static ENTROPY: OnceLock<Arc<dyn GenericRng>> = OnceLock::new();
-    Arc::clone(ENTROPY.get_or_init(|| Arc::new(EntropyRng)))
+    Arc::clone(entropy_stream())
 }
 
 /// One 64-bit draw from the global source — the convenience call for
@@ -271,37 +169,14 @@ pub fn global_next_u64() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn sim_rng_matches_small_rng_stream() {
         let sim = SimRng::seed_from_u64(2007);
         let mut small = SmallRng::seed_from_u64(2007);
         for _ in 0..32 {
-            assert_eq!(GenericRng::next_u64(&sim), small.next_u64());
+            assert_eq!(sim.next_u64(), small.next_u64());
         }
-    }
-
-    #[test]
-    fn rngcore_path_matches_rand_sampling() {
-        // gen_range through SimRng must equal gen_range through SmallRng —
-        // the bit-compat contract the faultinject/workload ports rely on.
-        let mut sim = SimRng::seed_from_u64(7);
-        let mut small = SmallRng::seed_from_u64(7);
-        for _ in 0..64 {
-            assert_eq!(sim.gen_range(3..17usize), small.gen_range(3..17usize));
-            assert_eq!(sim.gen::<f64>(), small.gen::<f64>());
-        }
-    }
-
-    #[test]
-    fn clone_forks_the_stream() {
-        let a = SimRng::seed_from_u64(5);
-        let _ = a.next_u64();
-        let b = a.clone();
-        // Fork point equal, then independent but identical continuations.
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -323,24 +198,12 @@ mod tests {
             let f = rng.gen_f64();
             assert!((0.0..1.0).contains(&f));
         }
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 13]);
     }
 
     #[test]
-    fn fork_domains_differ() {
-        let root = SimRng::seed_from_u64(1);
-        let a = root.fork("a");
-        let b = root.fork("b");
-        assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn entropy_rng_draws_without_panicking() {
-        let r = EntropyRng;
-        let a = r.next_u64();
-        let b = r.next_u64();
+    fn production_stream_draws_without_panicking() {
+        let a = global().next_u64();
+        let b = global_next_u64();
         assert_ne!(a, b, "stream advances");
     }
 }

@@ -4,17 +4,19 @@
 //! against the same model many times (an analyst refining a hypothesis);
 //! those repeats are pure function evaluations and need not touch the
 //! engine at all. [`PredictionCache`] memoizes them keyed by
-//! **FNV-1a over (model name, version id, exact f64 bit patterns of the
-//! rows)** — the same `fnv1a_64` the persistence envelopes and DST trace
-//! fingerprints use.
+//! **FNV-1a over (model name, version id, row width, exact f64 bit
+//! patterns of the rows)** — the same `fnv1a_64` the persistence envelopes
+//! and DST trace fingerprints use. The width is part of the key because
+//! the flattened bits alone cannot tell one row of 2n values from two rows
+//! of n, and the two answer different numbers of predictions.
 //!
 //! Correctness contract: a cache hit must be **bit-identical** to a
 //! fresh predict. Two consequences:
 //!
 //! * The 64-bit hash is a lookup accelerator, not the identity. Every
-//!   entry stores its full key material (model, version, row bits) and a
-//!   hit requires an exact match, so a hash collision degrades to a miss
-//!   instead of serving another request's predictions.
+//!   entry stores its full key material (model, version, row width, row
+//!   bits) and a hit requires an exact match, so a hash collision degrades
+//!   to a miss instead of serving another request's predictions.
 //! * Only **non-degraded** successful predictions are cached. A degraded
 //!   (interpreted-fallback) result is bit-identical anyway, but caching
 //!   it would mask the `degraded` health flag on later hits.
@@ -35,8 +37,18 @@ pub const MAX_CACHED_ROWS: usize = 16;
 struct Entry {
     model: String,
     version: String,
+    width: usize,
     row_bits: Vec<u64>,
     predictions: Vec<f64>,
+}
+
+impl Entry {
+    fn is(&self, model: &str, version: &str, width: usize, bits: &[u64]) -> bool {
+        self.model == model
+            && self.version == version
+            && self.width == width
+            && self.row_bits == bits
+    }
 }
 
 /// Bounded memoization of `(model, version, rows) → predictions`.
@@ -55,12 +67,13 @@ fn row_bits(rows: &[Vec<f64>]) -> Vec<u64> {
         .collect()
 }
 
-fn hash_key(model: &str, version: &str, bits: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(model.len() + version.len() + 2 + bits.len() * 8);
+fn hash_key(model: &str, version: &str, width: usize, bits: &[u64]) -> u64 {
+    let mut bytes = Vec::with_capacity(model.len() + version.len() + 2 + (1 + bits.len()) * 8);
     bytes.extend_from_slice(model.as_bytes());
     bytes.push(0xFF);
     bytes.extend_from_slice(version.as_bytes());
     bytes.push(0xFF);
+    bytes.extend_from_slice(&(width as u64).to_le_bytes());
     for b in bits {
         bytes.extend_from_slice(&b.to_le_bytes());
     }
@@ -80,17 +93,18 @@ impl PredictionCache {
         }
     }
 
-    /// Looks up memoized predictions. `None` is a miss — including for
-    /// batches larger than [`MAX_CACHED_ROWS`] and for hash collisions
-    /// whose stored key material does not match exactly.
+    /// Looks up memoized predictions for a rectangular batch. `None` is a
+    /// miss — including for batches larger than [`MAX_CACHED_ROWS`] and
+    /// for hash collisions whose stored key material does not match
+    /// exactly.
     pub fn lookup(&self, model: &str, version: &str, rows: &[Vec<f64>]) -> Option<Vec<f64>> {
         if self.capacity == 0 || rows.is_empty() || rows.len() > MAX_CACHED_ROWS {
             return None;
         }
-        let bits = row_bits(rows);
-        let hash = hash_key(model, version, &bits);
+        let (width, bits) = (rows[0].len(), row_bits(rows));
+        let hash = hash_key(model, version, width, &bits);
         self.map.get(&hash)?.iter().find_map(|e| {
-            (e.model == model && e.version == version && e.row_bits == bits)
+            e.is(model, version, width, &bits)
                 .then(|| e.predictions.clone())
         })
     }
@@ -102,18 +116,16 @@ impl PredictionCache {
         if self.capacity == 0 || rows.is_empty() || rows.len() > MAX_CACHED_ROWS {
             return;
         }
-        let bits = row_bits(rows);
-        let hash = hash_key(model, version, &bits);
+        let (width, bits) = (rows[0].len(), row_bits(rows));
+        let hash = hash_key(model, version, width, &bits);
         let bucket = self.map.entry(hash).or_default();
-        if bucket
-            .iter()
-            .any(|e| e.model == model && e.version == version && e.row_bits == bits)
-        {
+        if bucket.iter().any(|e| e.is(model, version, width, &bits)) {
             return;
         }
         bucket.push(Entry {
             model: model.to_string(),
             version: version.to_string(),
+            width,
             row_bits: bits,
             predictions: predictions.to_vec(),
         });
@@ -193,6 +205,18 @@ mod tests {
         let neg = vec![vec![-0.0]];
         c.insert("default", "v1", &pos, &[7.0]);
         assert!(c.lookup("default", "v1", &neg).is_none());
+    }
+
+    #[test]
+    fn key_covers_row_shape() {
+        // One row of four values and two rows of two flatten to the same
+        // bits but answer different numbers of predictions.
+        let mut c = PredictionCache::new(8);
+        let one_by_four = vec![vec![1.0, 2.0, 3.0, 4.0]];
+        let two_by_two = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        c.insert("m", "v1", &one_by_four, &[9.0]);
+        assert!(c.lookup("m", "v1", &two_by_two).is_none());
+        assert_eq!(c.lookup("m", "v1", &one_by_four), Some(vec![9.0]));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::time::Duration;
 use mtperf_detsim::clock::{self, VirtualClock};
 use mtperf_detsim::fs as simfs;
 use mtperf_detsim::net::{Fault, SimStream};
-use mtperf_detsim::rng::{self, derive_seed, GenericRng, SimRng};
+use mtperf_detsim::rng::{self, derive_seed, SimRng};
 use mtperf_detsim::{FaultScript, FsOp};
 use mtperf_linalg::parallel::{self, Parallelism};
 use mtperf_mtree::{Dataset, M5Params, ModelTree};
@@ -214,9 +214,9 @@ impl SeamGuard {
     /// off — a single logical thread is what makes the schedule (and so
     /// the trace) deterministic. Clears [`SHUTDOWN`] last.
     pub(crate) fn install(&self, rng_seed: u64, fs: &Arc<FaultScript>) {
-        clock::install(VirtualClock::auto());
+        clock::install(VirtualClock::new());
         rng::install(Arc::new(SimRng::seed_from_u64(rng_seed)));
-        simfs::install(Arc::clone(fs) as Arc<dyn simfs::FaultHook>);
+        simfs::install(Arc::clone(fs));
         parallel::set_global(Parallelism::Off);
         SHUTDOWN.store(false, Ordering::SeqCst);
     }

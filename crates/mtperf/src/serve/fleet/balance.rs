@@ -6,14 +6,14 @@
 //! "power of two choices" result. The draw comes from the process `rng`
 //! seam, so a simulated fleet replays its dispatch decisions exactly.
 
-use mtperf_detsim::rng::GenericRng;
+use mtperf_detsim::rng::SimRng;
 
 /// Picks from `candidates` — `(replica index, inflight count)` pairs — by
 /// the power-of-two-choices rule: two distinct uniform samples, the one
 /// with fewer requests in flight wins (first sample on a tie). Returns
 /// `None` when there are no candidates, and short-circuits a single
 /// candidate without consuming randomness.
-pub fn pick_two_choices(rng: &dyn GenericRng, candidates: &[(usize, usize)]) -> Option<usize> {
+pub fn pick_two_choices(rng: &SimRng, candidates: &[(usize, usize)]) -> Option<usize> {
     match candidates.len() {
         0 => None,
         1 => Some(candidates[0].0),
@@ -36,7 +36,6 @@ pub fn pick_two_choices(rng: &dyn GenericRng, candidates: &[(usize, usize)]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtperf_detsim::rng::SimRng;
 
     #[test]
     fn empty_and_singleton_candidate_sets() {

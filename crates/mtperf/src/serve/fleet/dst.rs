@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mtperf_detsim::clock;
-use mtperf_detsim::rng::{derive_seed, GenericRng, SimRng};
+use mtperf_detsim::rng::{derive_seed, SimRng};
 use mtperf_detsim::{FaultScript, FsOp};
 
 use super::super::dst::{

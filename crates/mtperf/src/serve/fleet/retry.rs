@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use mtperf_detsim::rng::GenericRng;
+use mtperf_detsim::rng::SimRng;
 
 /// The retry schedule for one request. See the module docs.
 #[derive(Debug)]
@@ -52,11 +52,7 @@ impl RetryBudget {
     /// deadline; `None` means no deadline). Returning `None` for a
     /// deadline reason also exhausts the budget: once a schedule cannot
     /// fit, no later (longer) delay can either.
-    pub fn next_delay(
-        &mut self,
-        rng: &dyn GenericRng,
-        remaining: Option<Duration>,
-    ) -> Option<Duration> {
+    pub fn next_delay(&mut self, rng: &SimRng, remaining: Option<Duration>) -> Option<Duration> {
         if self.attempts_left == 0 {
             return None;
         }
@@ -97,7 +93,6 @@ impl RetryBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtperf_detsim::rng::SimRng;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -149,7 +144,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use mtperf_detsim::rng::SimRng;
     use proptest::prelude::*;
 
     proptest! {

@@ -281,7 +281,7 @@ fn route(fleet: &Fleet, line: &str, id: Option<String>, req: Option<&Request>) -
         let pick = probes
             .first()
             .copied()
-            .or_else(|| balance::pick_two_choices(&*rng, &normals));
+            .or_else(|| balance::pick_two_choices(&rng, &normals));
         let Some(pick) = pick else {
             if exclude.is_some() {
                 // Nothing but the just-failed replica left: allow it back
@@ -317,7 +317,7 @@ fn route(fleet: &Fleet, line: &str, id: Option<String>, req: Option<&Request>) -
             Err(e) => {
                 last_failure = Some(e);
                 exclude = Some(pick);
-                match budget.next_delay(&*rng, remaining) {
+                match budget.next_delay(&rng, remaining) {
                     Some(delay) => {
                         fleet.stats.failovers.fetch_add(1, Ordering::Relaxed);
                         clock::sleep(delay);

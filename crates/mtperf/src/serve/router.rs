@@ -799,6 +799,37 @@ mod tests {
     }
 
     #[test]
+    fn cache_never_answers_a_batch_of_another_shape() {
+        // One row of four values, then the same four values as two rows:
+        // equal bits, but the second request needs two predictions.
+        let (shared, _, tree) = test_shared_with("cache-shape", 8, None, 8, 64);
+        let predict = |line: &str| {
+            let cap = Capture::default();
+            handle_line(&shared, line, &cap.shared());
+            while let Some(job) = shared.queue.try_pop() {
+                super::super::answer(&shared, job);
+            }
+            cap.text()
+        };
+        let wide = predict(r#"{"op":"predict","id":"w","rows":[[1.0,2.0,3.0,4.0]]}"#);
+        assert!(wide.contains("\"ok\":true"), "{wide}");
+        let out = predict(r#"{"op":"predict","id":"t","rows":[[1.0,2.0],[3.0,4.0]]}"#);
+        let preds: Vec<f64> = out
+            .split("\"predictions\":[")
+            .nth(1)
+            .and_then(|p| p.split(']').next())
+            .unwrap_or_else(|| panic!("no predictions in {out}"))
+            .split(',')
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert_eq!(preds.len(), 2, "{out}");
+        for (got, row) in preds.iter().zip([[1.0, 2.0], [3.0, 4.0]]) {
+            assert_eq!(got.to_bits(), tree.predict(&row).to_bits(), "{out}");
+        }
+        assert_eq!(shared.stats.cache_hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn shutdown_op_acks_then_signals_drain() {
         let (shared, _, _) = test_shared("shutdown", 8);
         let cap = Capture::default();

@@ -7,7 +7,7 @@
 //!   tracing on or off, and the JSONL event stream covers ingest, training,
 //!   CV folds, and batch prediction;
 //! * thread-budget identity — `simulate` writes the same bytes under every
-//!   `--threads` setting;
+//!   `--threads` setting, and those bytes match a pinned digest;
 //! * the documented exit-code contract for bad flags and bad data.
 //!
 //! Runs the real binary via `CARGO_BIN_EXE_mtperf`, so these tests exercise
@@ -376,6 +376,15 @@ fn simulate_output_is_identical_under_every_thread_budget() {
     };
     let serial = simulate("off");
     assert!(!serial.is_empty());
+    // Pins the bytes across commits too: the workload generator's draw
+    // sequence must not move. Re-mine with the command above and
+    // `fnv1a_64` only when a change means to alter the simulation.
+    assert_eq!(
+        mtperf_obs::fsio::fnv1a_64(&serial),
+        0xcb6a_f614_f79e_cb6f,
+        "simulate --seed 2007 output changed ({} bytes)",
+        serial.len()
+    );
     for threads in ["1", "4", "auto"] {
         assert!(
             simulate(threads) == serial,

@@ -125,6 +125,7 @@ struct Serve {
     stdin: Option<ChildStdin>,
     lines: Receiver<String>,
     stderr: Arc<Mutex<String>>,
+    stderr_reader: Option<thread::JoinHandle<()>>,
 }
 
 impl Serve {
@@ -152,7 +153,7 @@ impl Serve {
         let child_err = child.stderr.take().expect("child stderr");
         let stderr = Arc::new(Mutex::new(String::new()));
         let sink = Arc::clone(&stderr);
-        thread::spawn(move || {
+        let stderr_reader = thread::spawn(move || {
             let mut text = String::new();
             let mut r = BufReader::new(child_err);
             let _ = r.read_to_string(&mut text);
@@ -164,6 +165,7 @@ impl Serve {
             stdin,
             lines,
             stderr,
+            stderr_reader: Some(stderr_reader),
         }
     }
 
@@ -189,8 +191,17 @@ impl Serve {
     fn finish(mut self) -> (std::process::ExitStatus, String) {
         self.stdin.take();
         let status = self.wait();
-        let err = self.stderr.lock().unwrap().clone();
-        (status, err)
+        (status, self.exit_stderr())
+    }
+
+    /// Everything the daemon wrote to stderr, once it has exited. The
+    /// reader thread stores the text only at EOF, which can come after
+    /// `wait` returns, so join it first.
+    fn exit_stderr(&mut self) -> String {
+        if let Some(reader) = self.stderr_reader.take() {
+            reader.join().expect("stderr reader thread");
+        }
+        self.stderr.lock().unwrap().clone()
     }
 
     fn wait(&mut self) -> std::process::ExitStatus {
@@ -341,7 +352,7 @@ fn sigterm_drains_then_exits_zero() {
         status.success(),
         "SIGTERM must drain and exit 0: {status:?}"
     );
-    let err = serve.stderr.lock().unwrap().clone();
+    let err = serve.exit_stderr();
     assert!(err.contains("drained"), "{err}");
 }
 

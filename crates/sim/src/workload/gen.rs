@@ -9,8 +9,8 @@
 
 use std::collections::VecDeque;
 
-use mtperf_detsim::SimRng;
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::instr::{Instr, InstrKind};
 use crate::workload::spec::PhaseSpec;
@@ -65,7 +65,7 @@ impl Drift {
         Drift { walks: [0.0; 5] }
     }
 
-    fn step(&mut self, rng: &mut SimRng) {
+    fn step(&mut self, rng: &mut SmallRng) {
         for w in &mut self.walks {
             *w = (*w + rng.gen_range(-0.25..0.25)).clamp(-1.0, 1.0);
         }
@@ -77,7 +77,7 @@ impl Drift {
 #[derive(Debug, Clone)]
 pub struct InstrStream {
     spec: PhaseSpec,
-    rng: SimRng,
+    rng: SmallRng,
     pc: u64,
     seq_pos: u64,
     chase_pos: u64,
@@ -107,23 +107,7 @@ impl InstrStream {
     ///
     /// Panics if `spec` fails [`PhaseSpec::is_valid`].
     pub fn new(spec: &PhaseSpec, seed: u64) -> Self {
-        InstrStream::with_rng(spec, SimRng::seed_from_u64(seed), seed)
-    }
-
-    /// Creates a stream drawing from an externally-owned RNG — usually a
-    /// [`SimRng::fork`] of a simulation's root seed, so the instruction
-    /// stream replays with the run that scripted it. `layout_seed` fixes
-    /// the data/code layout (hot branch targets, pointer-chase origin),
-    /// which [`InstrStream::new`] derives from its single seed. The draw
-    /// sequence is bit-identical to the `SmallRng` this module used before
-    /// the workspace RNGs were unified.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` fails [`PhaseSpec::is_valid`].
-    pub fn with_rng(spec: &PhaseSpec, rng: SimRng, layout_seed: u64) -> Self {
         assert!(spec.is_valid(), "invalid phase spec: {:?}", spec.name);
-        let seed = layout_seed;
         // One hot target per KiB of code, clamped: tiny kernels have a
         // handful of loops, huge codes have hundreds of active regions.
         let n_hot = (spec.code_bytes / 1024).clamp(8, 1024);
@@ -132,7 +116,7 @@ impl InstrStream {
             .collect();
         InstrStream {
             spec: spec.clone(),
-            rng,
+            rng: SmallRng::seed_from_u64(seed),
             pc: CODE_BASE,
             seq_pos: 0,
             chase_pos: splitmix64(seed) % spec.data_ws_bytes,

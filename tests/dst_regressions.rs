@@ -3,9 +3,11 @@
 //! Each test pins one **mined seed** — found by sweeping `mtperf dst
 //! --seeds` and inspecting the replay traces for the scenario of interest
 //! — together with the trace fingerprint that seed produced when it was
-//! mined. The fingerprint was recorded from a *separate process* (the
-//! `mtperf dst` CLI), so a matching assertion here is a cross-process
-//! byte-identical replay, not a same-process memoization artifact.
+//! mined. The serve seeds pin the `dst seed=…` line `mtperf dst` prints,
+//! the fleet seed its `dst fleet seed=…` line. The fingerprint was
+//! recorded from a *separate process* (the `mtperf dst` CLI), so a
+//! matching assertion here is a cross-process byte-identical replay, not a
+//! same-process memoization artifact.
 //!
 //! If a code change alters one of these fingerprints, that is not
 //! automatically a bug — it means the simulated schedule observably
@@ -14,6 +16,7 @@
 //! update the constant **in the same commit** with a note of what moved.
 
 use mtperf::serve::dst::{run_sim, SimConfig};
+use mtperf::serve::fleet::dst::{run_fleet_sim, FleetSimConfig};
 
 /// Seed 100 @ 60 sessions. Mined 2026-08-08 from a `--seeds 12` sweep.
 ///
@@ -41,6 +44,18 @@ const SESSIONS_MANIFEST_FAULTS: usize = 60;
 // Re-mined 2026-08-08 alongside SEED 100: per-model health rows moved
 // the health-response bytes.
 const FINGERPRINT_MANIFEST_FAULTS: u64 = 0x9bc5_36da_39ce_d4d2;
+
+/// Fleet seed 7 @ 60 sessions, the `dst fleet` line of `mtperf dst --seed
+/// 7 --sessions 60`. Mined 2026-10-17.
+///
+/// Why this seed: the fleet router draws replica picks and retry jitter
+/// from the rng seam and times hedges and deadlines on the clock seam, so
+/// a change to either seam moves this fingerprint. The run kills replicas
+/// (11), hedges predicts (14), fails over (6) and injects registry fs
+/// faults (3).
+const SEED_FLEET: u64 = 7;
+const SESSIONS_FLEET: usize = 60;
+const FINGERPRINT_FLEET: u64 = 0x5a22_8ad5_36a7_d22f;
 
 #[test]
 fn promote_race_seed_replays_to_its_mined_fingerprint() {
@@ -91,6 +106,30 @@ fn manifest_fault_seed_replays_to_its_mined_fingerprint() {
         report.trace_hash(),
         FINGERPRINT_MANIFEST_FAULTS,
         "seed {SEED_MANIFEST_FAULTS} no longer replays to its mined fingerprint; \
+         if the schedule change is intentional, re-mine and update the constant"
+    );
+}
+
+#[test]
+fn fleet_seed_replays_to_its_mined_fingerprint() {
+    let report = run_fleet_sim(&FleetSimConfig {
+        seed: SEED_FLEET,
+        sessions: SESSIONS_FLEET,
+    });
+    assert!(report.passed(), "violations: {:#?}", report.violations);
+    // The failure paths this seed was mined for must all still run.
+    for (what, n) in [
+        ("replica kills", report.replica_kills),
+        ("hedged predicts", report.hedged_predicts),
+        ("failovers", report.failovers),
+        ("fs faults", report.fs_faults),
+    ] {
+        assert!(n > 0, "no {what} under seed {SEED_FLEET}");
+    }
+    assert_eq!(
+        report.trace_hash(),
+        FINGERPRINT_FLEET,
+        "fleet seed {SEED_FLEET} no longer replays to its mined fingerprint; \
          if the schedule change is intentional, re-mine and update the constant"
     );
 }
