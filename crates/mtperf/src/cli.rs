@@ -351,11 +351,27 @@ fn residual_baseline(
 }
 
 /// `mtperf simulate`.
+///
+/// Sizes are checked before any work: `--section-len` must be at least 1,
+/// and `--instructions` must give every phase of every profile at least
+/// one instruction.
 pub fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let out = args.require("out")?;
     let instructions: u64 = args.numeric("instructions", 2_000_000)?;
     let section_len: u64 = args.numeric("section-len", 10_000)?;
     let seed: u64 = args.numeric("seed", 2007)?;
+    if section_len == 0 {
+        return Err(CliError::Usage(
+            "option --section-len must be at least 1".into(),
+        ));
+    }
+    let suite = crate::sim::workload::profiles::suite(instructions);
+    if let Some(w) = suite.iter().find(|w| !w.is_valid()) {
+        return Err(CliError::Usage(format!(
+            "option --instructions {instructions} is too small: a phase of {} gets no instructions",
+            w.name
+        )));
+    }
     eprintln!("simulating {instructions} instructions/workload (seed {seed})...");
     let samples = crate::sim::simulate_suite(instructions, section_len, seed);
     let mut file = File::create(out)?;
@@ -1110,6 +1126,29 @@ mod tests {
         assert_eq!(err.exit_code(), 65);
         let loaded = load_samples(&path, IngestPolicy::Skip).unwrap();
         assert_eq!(loaded.len(), 4);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn simulate_rejects_sizes_that_leave_nothing_to_run() {
+        let dir = std::env::temp_dir().join("mtperf-cli-simulate-sizes");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("suite.csv");
+        let out = csv.display().to_string();
+        for (option, value) in [
+            ("--section-len", "0"),
+            ("--instructions", "0"),
+            ("--instructions", "4"),
+        ] {
+            let a = args(&["simulate", "--out", &out, option, value]);
+            let err = cmd_simulate(&a).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{option} {value}: {err}");
+            assert!(err.to_string().contains(option), "{err}");
+            assert!(!csv.exists(), "{option} {value} created the output");
+        }
+        cmd_simulate(&args(&["simulate", "--out", &out, "--instructions", "5"])).unwrap();
+        assert!(csv.exists());
         std::fs::remove_dir_all(dir).ok();
     }
 

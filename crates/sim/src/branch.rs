@@ -11,32 +11,6 @@
 
 use crate::config::PredictorConfig;
 
-/// Prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictorStats {
-    /// Correctly predicted branches.
-    pub correct: u64,
-    /// Mispredicted branches.
-    pub mispredicted: u64,
-}
-
-impl PredictorStats {
-    /// Total predicted branches.
-    pub fn branches(&self) -> u64 {
-        self.correct + self.mispredicted
-    }
-
-    /// Misprediction ratio; 0.0 before any branch.
-    pub fn mispredict_ratio(&self) -> f64 {
-        let b = self.branches();
-        if b == 0 {
-            0.0
-        } else {
-            self.mispredicted as f64 / b as f64
-        }
-    }
-}
-
 /// Tournament branch predictor (bimodal + gshare + chooser).
 ///
 /// The type keeps the historical `Gshare` name of its dominant component for
@@ -49,10 +23,10 @@ impl PredictorStats {
 ///
 /// let mut p = GsharePredictor::new(PredictorConfig { history_bits: 10 });
 /// // An always-taken branch is learned after a couple of occurrences.
-/// for _ in 0..100 {
-///     p.predict_and_update(0x400_000, true);
-/// }
-/// assert!(p.stats().mispredict_ratio() < 0.1);
+/// let mispredicts = (0..100)
+///     .filter(|_| p.predict_and_update(0x400_000, true))
+///     .count();
+/// assert!(mispredicts < 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GsharePredictor {
@@ -62,7 +36,6 @@ pub struct GsharePredictor {
     chooser: Vec<u8>,
     mask: u64,
     history: u64,
-    stats: PredictorStats,
 }
 
 impl GsharePredictor {
@@ -84,13 +57,7 @@ impl GsharePredictor {
             chooser: vec![1; size], // weakly prefer bimodal
             mask: (size - 1) as u64,
             history: 0,
-            stats: PredictorStats::default(),
         }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> PredictorStats {
-        self.stats
     }
 
     fn pc_index(&self, pc: u64) -> usize {
@@ -134,21 +101,7 @@ impl GsharePredictor {
         self.gshare[gi] = bump(self.gshare[gi], taken);
 
         self.history = ((self.history << 1) | u64::from(taken)) & self.mask;
-        if mispredicted {
-            self.stats.mispredicted += 1;
-        } else {
-            self.stats.correct += 1;
-        }
         mispredicted
-    }
-
-    /// Clears learned state and statistics.
-    pub fn reset(&mut self) {
-        self.bimodal.fill(2);
-        self.gshare.fill(2);
-        self.chooser.fill(1);
-        self.history = 0;
-        self.stats = PredictorStats::default();
     }
 }
 
@@ -169,23 +122,31 @@ mod tests {
         GsharePredictor::new(PredictorConfig { history_bits: 12 })
     }
 
+    /// Share of `outcomes` at `pc` that `p` mispredicts.
+    fn mispredict_ratio(
+        p: &mut GsharePredictor,
+        pc: u64,
+        outcomes: impl IntoIterator<Item = bool>,
+    ) -> f64 {
+        let (mut branches, mut mispredicted) = (0u32, 0u32);
+        for taken in outcomes {
+            branches += 1;
+            mispredicted += u32::from(p.predict_and_update(pc, taken));
+        }
+        f64::from(mispredicted) / f64::from(branches)
+    }
+
     #[test]
     fn learns_always_taken() {
         let mut p = predictor();
-        for _ in 0..200 {
-            p.predict_and_update(0x1000, true);
-        }
-        assert!(p.stats().mispredict_ratio() < 0.05);
+        assert!(mispredict_ratio(&mut p, 0x1000, (0..200).map(|_| true)) < 0.05);
     }
 
     #[test]
     fn learns_always_not_taken() {
         let mut p = predictor();
-        for _ in 0..200 {
-            p.predict_and_update(0x2000, false);
-        }
         // Initial weakly-taken counters cost a few mispredicts, then settle.
-        assert!(p.stats().mispredict_ratio() < 0.1);
+        assert!(mispredict_ratio(&mut p, 0x2000, (0..200).map(|_| false)) < 0.1);
     }
 
     #[test]
@@ -202,9 +163,7 @@ mod tests {
             p.predict_and_update(0x9000 + (x % 64) * 4, (x >> 33) & 1 == 1);
             // Target branch: taken unless i % 10 == 0.
             let taken = i % 10 != 0;
-            let before = p.stats().mispredicted;
-            p.predict_and_update(0x1234, taken);
-            target_mispredicts += p.stats().mispredicted - before;
+            target_mispredicts += u64::from(p.predict_and_update(0x1234, taken));
         }
         let ratio = target_mispredicts as f64 / rounds as f64;
         assert!(ratio < 0.2, "target-site mispredict ratio = {ratio}");
@@ -215,14 +174,8 @@ mod tests {
         // Pattern T,T,N repeating is capturable with global history.
         let mut p = predictor();
         let pattern = [true, true, false];
-        for i in 0..3000 {
-            p.predict_and_update(0x3000, pattern[i % 3]);
-        }
-        assert!(
-            p.stats().mispredict_ratio() < 0.15,
-            "ratio = {}",
-            p.stats().mispredict_ratio()
-        );
+        let r = mispredict_ratio(&mut p, 0x3000, (0..3000).map(|i| pattern[i % 3]));
+        assert!(r < 0.15, "ratio = {r}");
     }
 
     #[test]
@@ -231,42 +184,19 @@ mod tests {
         // do much better than chance.
         let mut p = predictor();
         let mut x: u64 = 0x9E3779B97F4A7C15;
-        for _ in 0..20_000 {
+        let directions = (0..20_000).map(|_| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let taken = (x >> 33) & 1 == 1;
-            p.predict_and_update(0x4000, taken);
-        }
-        let r = p.stats().mispredict_ratio();
+            (x >> 33) & 1 == 1
+        });
+        let r = mispredict_ratio(&mut p, 0x4000, directions);
         assert!(r > 0.35 && r < 0.65, "ratio = {r}");
-    }
-
-    #[test]
-    fn stats_identity() {
-        let mut p = predictor();
-        for i in 0..100u64 {
-            p.predict_and_update(i * 4, i % 2 == 0);
-        }
-        assert_eq!(p.stats().branches(), 100);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut p = predictor();
-        p.predict_and_update(0, true);
-        p.reset();
-        assert_eq!(p.stats().branches(), 0);
     }
 
     #[test]
     #[should_panic(expected = "history_bits")]
     fn rejects_zero_history() {
         GsharePredictor::new(PredictorConfig { history_bits: 0 });
-    }
-
-    #[test]
-    fn empty_ratio_is_zero() {
-        assert_eq!(PredictorStats::default().mispredict_ratio(), 0.0);
     }
 }

@@ -6,33 +6,8 @@
 //! than a full mispredict flush). The BTB caches targets by branch PC;
 //! indirect-ish branches that keep changing targets keep missing.
 
+use crate::cache::Lru;
 use crate::config::TlbGeometry;
-
-/// BTB statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BtbStats {
-    /// Taken branches whose target was correctly cached.
-    pub hits: u64,
-    /// Taken branches that missed or had a stale target.
-    pub misses: u64,
-}
-
-impl BtbStats {
-    /// Total taken-branch lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio; 0.0 before any lookup.
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
 
 /// A set-associative branch target buffer keyed by branch PC, storing the
 /// last observed target.
@@ -52,16 +27,11 @@ impl BtbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: u32,
-    ways: u32,
-    /// `(branch pc, target)` per slot; pc `u64::MAX` marks invalid.
-    slots: Vec<(u64, u64)>,
-    stamps: Vec<u64>,
-    clock: u64,
-    stats: BtbStats,
+    /// Branch PCs; the set comes from `pc >> 2`, the key is the full PC.
+    pcs: Lru,
+    /// Last observed target per slot of `pcs`.
+    targets: Vec<u64>,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Btb {
     /// Creates an empty BTB.
@@ -70,64 +40,20 @@ impl Btb {
     ///
     /// Panics if the geometry is degenerate (see [`TlbGeometry::sets`]).
     pub fn new(geometry: TlbGeometry) -> Self {
-        let sets = geometry.sets();
-        let n = (sets * geometry.ways) as usize;
         Btb {
-            sets,
-            ways: geometry.ways,
-            slots: vec![(INVALID, 0); n],
-            stamps: vec![0; n],
-            clock: 0,
-            stats: BtbStats::default(),
+            pcs: Lru::new(u64::from(geometry.sets()), geometry.ways),
+            targets: vec![0; geometry.entries as usize],
         }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> BtbStats {
-        self.stats
     }
 
     /// Looks up the cached target for a **taken** branch at `pc` and
     /// installs/updates the actual `target`. Returns `true` on a **miss**
     /// (absent or stale target — the front end redirects).
     pub fn lookup_update(&mut self, pc: u64, target: u64) -> bool {
-        let set = ((pc >> 2) % self.sets as u64) as usize;
-        let ways = self.ways as usize;
-        let base = set * ways;
-        self.clock += 1;
-        if let Some(way) = self.slots[base..base + ways]
-            .iter()
-            .position(|&(p, _)| p == pc)
-        {
-            let hit = self.slots[base + way].1 == target;
-            self.slots[base + way] = (pc, target);
-            self.stamps[base + way] = self.clock;
-            if hit {
-                self.stats.hits += 1;
-            } else {
-                self.stats.misses += 1;
-            }
-            return !hit;
-        }
-        // Absent: install over an invalid or LRU way.
-        let victim = self.slots[base..base + ways]
-            .iter()
-            .position(|&(p, _)| p == INVALID)
-            .unwrap_or_else(|| {
-                let mut lru = 0;
-                let mut lru_stamp = u64::MAX;
-                for (w, &s) in self.stamps[base..base + ways].iter().enumerate() {
-                    if s < lru_stamp {
-                        lru_stamp = s;
-                        lru = w;
-                    }
-                }
-                lru
-            });
-        self.slots[base + victim] = (pc, target);
-        self.stamps[base + victim] = self.clock;
-        self.stats.misses += 1;
-        true
+        let (slot, resident) = self.pcs.touch(pc >> 2, pc);
+        let hit = resident && self.targets[slot] == target;
+        self.targets[slot] = target;
+        !hit
     }
 }
 
@@ -147,8 +73,6 @@ mod tests {
         let mut b = btb();
         assert!(b.lookup_update(0x40, 0x1000));
         assert!(!b.lookup_update(0x40, 0x1000));
-        assert_eq!(b.stats().hits, 1);
-        assert_eq!(b.stats().misses, 1);
     }
 
     #[test]
@@ -186,12 +110,5 @@ mod tests {
                 }
             }
         }
-        assert!(b.stats().miss_ratio() < 0.3);
-    }
-
-    #[test]
-    fn empty_stats() {
-        assert_eq!(BtbStats::default().miss_ratio(), 0.0);
-        assert_eq!(BtbStats::default().lookups(), 0);
     }
 }

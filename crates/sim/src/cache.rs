@@ -1,46 +1,64 @@
-//! Set-associative cache model with true-LRU replacement.
+//! Set-associative tag arrays with true-LRU replacement.
+//!
+//! One private [`Lru`] array holds the replacement rule of every
+//! set-associative structure in the model: the caches and TLBs are
+//! [`Cache`]s over lines and pages, and the BTB keeps its targets beside an
+//! [`Lru`] of branch PCs.
 
-use crate::config::CacheGeometry;
+use crate::config::{CacheGeometry, TlbGeometry};
 
-/// Outcome of a single cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
-    /// The line was present.
-    Hit,
-    /// The line was absent and has been installed.
-    Miss,
+/// A set-associative array of keys with true-LRU replacement.
+///
+/// Every touch advances the clock by one and stamps the touched way with
+/// it. A resident key keeps its way; an absent key fills the lowest-index
+/// invalid way of its set, or else evicts the way with the smallest stamp,
+/// the first such way on a tie.
+#[derive(Debug, Clone)]
+pub(crate) struct Lru {
+    sets: u64,
+    ways: usize,
+    /// `keys[set * ways + way]`; `u64::MAX` marks an invalid way.
+    keys: Vec<u64>,
+    /// LRU stamps parallel to `keys`; larger = more recent.
+    stamps: Vec<u64>,
+    clock: u64,
 }
 
-impl Lookup {
-    /// `true` for [`Lookup::Miss`].
-    pub fn is_miss(self) -> bool {
-        matches!(self, Lookup::Miss)
-    }
-}
+const INVALID: u64 = u64::MAX;
 
-/// Hit/miss counters for a cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of accesses that hit.
-    pub hits: u64,
-    /// Number of accesses that missed.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio; 0.0 before any access.
-    pub fn miss_ratio(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses as f64 / a as f64
+impl Lru {
+    /// An empty array of `sets` sets with `ways` ways each.
+    pub(crate) fn new(sets: u64, ways: u32) -> Self {
+        let slots = (sets * u64::from(ways)) as usize;
+        Lru {
+            sets,
+            ways: ways as usize,
+            keys: vec![INVALID; slots],
+            stamps: vec![0; slots],
+            clock: 0,
         }
+    }
+
+    /// Touches `key` in set `index % sets`, installing it on a miss.
+    /// Returns the slot (`set * ways + way`) that now holds `key` and
+    /// whether `key` was already resident.
+    pub(crate) fn touch(&mut self, index: u64, key: u64) -> (usize, bool) {
+        let base = (index % self.sets) as usize * self.ways;
+        let keys = &mut self.keys[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        self.clock += 1;
+        let resident = keys.iter().position(|&k| k == key);
+        let way = resident.unwrap_or_else(|| {
+            let victim = keys.iter().position(|&k| k == INVALID).unwrap_or_else(|| {
+                // `min_by_key` keeps the first of equal stamps.
+                let oldest = stamps.iter().enumerate().min_by_key(|&(_, &s)| s);
+                oldest.map_or(0, |(way, _)| way)
+            });
+            keys[victim] = key;
+            victim
+        });
+        stamps[way] = self.clock;
+        (base + way, resident.is_some())
     }
 }
 
@@ -49,31 +67,29 @@ impl CacheStats {
 ///
 /// The model tracks tags only (no data); an access installs the line on a
 /// miss. This is exactly what is needed to produce the miss *counts* the
-/// PMU events report.
+/// PMU events report. A TLB is the same structure with a page for a line
+/// ([`Cache::tlb`]).
 ///
 /// # Example
 ///
 /// ```
-/// use mtperf_sim::{Cache, CacheGeometry};
+/// use mtperf_sim::{Cache, CacheGeometry, TlbGeometry};
 ///
 /// let mut c = Cache::new(CacheGeometry { size_bytes: 1024, line_bytes: 64, ways: 2 });
-/// assert!(c.access(0x0).is_miss());
-/// assert!(!c.access(0x4).is_miss()); // same 64-byte line
+/// assert!(c.access(0x0)); // cold miss
+/// assert!(!c.access(0x4)); // same 64-byte line -> hit
+///
+/// let mut t = Cache::tlb(TlbGeometry { entries: 8, ways: 2 }, 4096);
+/// assert!(t.access(0x0000)); // cold miss
+/// assert!(!t.access(0x0800)); // same 4 KiB page -> hit
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
-    sets: u64,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` marks an invalid way.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`; larger = more recent.
-    stamps: Vec<u64>,
-    clock: u64,
-    stats: CacheStats,
+    /// Tags keyed by line number.
+    tags: Lru,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
@@ -82,17 +98,31 @@ impl Cache {
     ///
     /// Panics if the geometry is degenerate (see [`CacheGeometry::sets`]).
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = geometry.sets();
-        let slots = (sets * geometry.ways as u64) as usize;
         Cache {
             geometry,
-            sets,
             line_shift: geometry.line_bytes.trailing_zeros(),
-            tags: vec![INVALID; slots],
-            stamps: vec![0; slots],
-            clock: 0,
-            stats: CacheStats::default(),
+            tags: Lru::new(geometry.sets(), geometry.ways),
         }
+    }
+
+    /// Creates an empty TLB: a cache whose line is a page, so its tags are
+    /// virtual page numbers and its `size_bytes` is its reach (entries ×
+    /// page size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_bytes` is not a power of two, or `entries` is zero
+    /// or not a multiple of `ways`.
+    pub fn tlb(geometry: TlbGeometry, page_bytes: u64) -> Self {
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size must be a power of two"
+        );
+        Cache::new(CacheGeometry {
+            size_bytes: u64::from(geometry.entries) * page_bytes,
+            line_bytes: page_bytes,
+            ways: geometry.ways,
+        })
     }
 
     /// The configured geometry.
@@ -100,98 +130,11 @@ impl Cache {
         &self.geometry
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Line-granular tag of an address.
-    fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
-    }
-
     /// Accesses `addr`; installs the line on a miss and updates LRU state.
-    pub fn access(&mut self, addr: u64) -> Lookup {
-        let line = self.line_of(addr);
-        let set = line % self.sets;
-        let ways = self.geometry.ways as usize;
-        let base = (set as usize) * ways;
-        self.clock += 1;
-
-        let slots = &mut self.tags[base..base + ways];
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            self.stats.hits += 1;
-            return Lookup::Hit;
-        }
-        // Miss: fill an invalid way or evict the LRU way.
-        let victim = match slots.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => {
-                let mut lru_way = 0;
-                let mut lru_stamp = u64::MAX;
-                for (w, &s) in self.stamps[base..base + ways].iter().enumerate() {
-                    if s < lru_stamp {
-                        lru_stamp = s;
-                        lru_way = w;
-                    }
-                }
-                lru_way
-            }
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        self.stats.misses += 1;
-        Lookup::Miss
-    }
-
-    /// Checks for presence without updating LRU state or statistics.
-    pub fn probe(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = line % self.sets;
-        let ways = self.geometry.ways as usize;
-        let base = (set as usize) * ways;
-        self.tags[base..base + ways].contains(&line)
-    }
-
-    /// Installs a line without counting it as a demand access (prefetch
-    /// fill). Counts neither hit nor miss; a prefetch of a resident line
-    /// refreshes its LRU stamp.
-    pub fn install(&mut self, addr: u64) {
-        let line = self.line_of(addr);
-        let set = line % self.sets;
-        let ways = self.geometry.ways as usize;
-        let base = (set as usize) * ways;
-        self.clock += 1;
-        let slots = &mut self.tags[base..base + ways];
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            return;
-        }
-        let victim = match slots.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => {
-                let mut lru_way = 0;
-                let mut lru_stamp = u64::MAX;
-                for (w, &s) in self.stamps[base..base + ways].iter().enumerate() {
-                    if s < lru_stamp {
-                        lru_stamp = s;
-                        lru_way = w;
-                    }
-                }
-                lru_way
-            }
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-    }
-
-    /// Invalidates every line and clears statistics.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.stats = CacheStats::default();
+    /// Returns `true` on a **miss**.
+    pub fn access(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        !self.tags.touch(line, line).1
     }
 }
 
@@ -208,14 +151,22 @@ mod tests {
         })
     }
 
+    fn tlb4() -> Cache {
+        Cache::tlb(
+            TlbGeometry {
+                entries: 4,
+                ways: 2,
+            },
+            4096,
+        )
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = small();
-        assert_eq!(c.access(0x100), Lookup::Miss);
-        assert_eq!(c.access(0x100), Lookup::Hit);
-        assert_eq!(c.access(0x13f), Lookup::Hit); // same line
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 1);
+        assert!(c.access(0x100));
+        assert!(!c.access(0x100));
+        assert!(!c.access(0x13f)); // same line
     }
 
     #[test]
@@ -228,9 +179,9 @@ mod tests {
         c.access(0);
         // Install line 4: must evict line 2.
         c.access(4 * 64);
-        assert!(c.probe(0));
-        assert!(!c.probe(2 * 64));
-        assert!(c.probe(4 * 64));
+        assert!(!c.access(0), "line 0 must have survived");
+        assert!(!c.access(4 * 64), "line 4 must be resident");
+        assert!(c.access(2 * 64), "line 2 must have been evicted");
     }
 
     #[test]
@@ -243,12 +194,12 @@ mod tests {
         let lines = 1024 / 64;
         // First pass: all cold misses.
         for i in 0..lines {
-            assert!(c.access(i * 64).is_miss());
+            assert!(c.access(i * 64));
         }
         // Steady state: everything hits.
         for _ in 0..3 {
             for i in 0..lines {
-                assert_eq!(c.access(i * 64), Lookup::Hit);
+                assert!(!c.access(i * 64));
             }
         }
     }
@@ -259,53 +210,51 @@ mod tests {
         let lines = 16u64;
         // Sequential sweep over 16 lines repeatedly: with LRU every access
         // misses once the set cycles.
+        let mut misses = 0;
         for _ in 0..4 {
             for i in 0..lines {
-                c.access(i * 64);
+                misses += u64::from(c.access(i * 64));
             }
         }
-        assert!(c.stats().miss_ratio() > 0.9);
+        assert!(misses * 10 > 4 * lines * 9, "{misses} misses");
     }
 
     #[test]
-    fn probe_does_not_mutate() {
-        let mut c = small();
-        c.access(0x40);
-        let before = c.stats();
-        assert!(c.probe(0x40));
-        assert!(!c.probe(0x4000));
-        assert_eq!(c.stats(), before);
+    fn same_page_hits() {
+        let mut t = tlb4();
+        assert!(t.access(0x1000));
+        assert!(!t.access(0x1fff));
+        assert!(!t.access(0x1800));
     }
 
     #[test]
-    fn install_counts_nothing_but_populates() {
-        let mut c = small();
-        c.install(0x40);
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.access(0x40), Lookup::Hit);
+    fn tlb_reach_is_entries_times_page() {
+        assert_eq!(tlb4().geometry().size_bytes, 4 * 4096);
     }
 
     #[test]
-    fn flush_resets() {
-        let mut c = small();
-        c.access(0x40);
-        c.flush();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(c.access(0x40).is_miss());
-    }
-
-    #[test]
-    fn stats_identity_hits_plus_misses() {
-        let mut c = small();
-        for i in 0..100u64 {
-            c.access((i * 37) % 2048 * 8);
+    fn working_set_within_reach_steady_hits() {
+        let mut t = tlb4();
+        // 4 pages spread over both sets (page numbers 0..4, 2 per set).
+        for p in 0..4u64 {
+            t.access(p * 4096);
         }
-        assert_eq!(c.stats().accesses(), 100);
-        assert_eq!(c.stats().hits + c.stats().misses, 100);
+        for _ in 0..3 {
+            for p in 0..4u64 {
+                assert!(!t.access(p * 4096));
+            }
+        }
     }
 
     #[test]
-    fn miss_ratio_empty_is_zero() {
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
+    #[should_panic(expected = "power of two")]
+    fn rejects_bad_page_size() {
+        Cache::tlb(
+            TlbGeometry {
+                entries: 4,
+                ways: 2,
+            },
+            1000,
+        );
     }
 }

@@ -4,11 +4,15 @@
 //! collected on a real Core 2 Duo running SPEC CPU2006. This crate is the
 //! substitute for that measurement substrate: a single-core machine model
 //! (split L1s, unified L2, two-level DTLB, ITLB, gshare branch predictor,
-//! next-line L2 prefetcher, store buffer) driven by synthetic instruction
-//! streams whose statistical character mimics SPEC members, priced by a
-//! cycle-accounting model that reproduces the event interactions the paper
-//! emphasizes (memory-level parallelism, out-of-order latency hiding,
-//! stall shadowing).
+//! BTB, next-line L2 prefetcher, store buffer) driven by synthetic
+//! instruction streams whose statistical character mimics SPEC members,
+//! priced by a cycle-accounting model that reproduces the event interactions
+//! the paper emphasizes (memory-level parallelism, out-of-order latency
+//! hiding, stall shadowing).
+//!
+//! The caches, the TLBs and the BTB share one set-associative true-LRU tag
+//! array: a TLB is a [`Cache`] whose line is a page ([`Cache::tlb`]), and
+//! the [`Btb`] keeps its targets beside the same array of branch PCs.
 //!
 //! # Quick start
 //!
@@ -37,19 +41,17 @@ mod instr;
 mod loadblock;
 mod memory;
 mod sim;
-mod tlb;
 pub mod workload;
 
-pub use branch::{GsharePredictor, PredictorStats};
-pub use btb::{Btb, BtbStats};
-pub use cache::{Cache, CacheStats, Lookup};
+pub use branch::GsharePredictor;
+pub use btb::Btb;
+pub use cache::Cache;
 pub use config::{CacheGeometry, MachineConfig, PredictorConfig, PrefetcherKind, TlbGeometry};
 pub use cycle::{CycleModel, InstrEvents};
 pub use instr::{Instr, InstrKind};
 pub use loadblock::{LoadBlock, StoreBuffer};
 pub use memory::{DataOutcome, FetchOutcome, MemoryHierarchy};
 pub use sim::{Simulator, DEFAULT_SECTION_LEN};
-pub use tlb::{Tlb, TlbStats};
 
 /// Simulates the full SPEC-like suite and returns the merged dataset.
 ///

@@ -6,10 +6,12 @@
 //! Note the asymmetry the paper's events impose: `MEM_LOAD_RETIRED.*` events
 //! (L1DM, L2M, DtlbLdReM) count **loads only**, so stores and instruction
 //! fetches update cache state without firing those counters.
+//!
+//! Every cache and TLB here is a [`Cache`]; a TLB's line is a page. Warm
+//! and prefetch fills are accesses whose outcome is dropped.
 
 use crate::cache::Cache;
 use crate::config::{MachineConfig, PrefetcherKind};
-use crate::tlb::Tlb;
 
 /// Outcome of one data-side access.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,9 +50,9 @@ pub struct FetchOutcome {
 /// use mtperf_sim::{MachineConfig, MemoryHierarchy};
 ///
 /// let mut mem = MemoryHierarchy::new(&MachineConfig::tiny());
-/// let first = mem.data_access(0x2000_0000, 8, false);
+/// let first = mem.data_access(0x2000_0000, 8);
 /// assert!(first.l1d_miss && first.l2_miss);
-/// let second = mem.data_access(0x2000_0000, 8, false);
+/// let second = mem.data_access(0x2000_0000, 8);
 /// assert!(!second.l1d_miss);
 /// ```
 #[derive(Debug, Clone)]
@@ -58,9 +60,9 @@ pub struct MemoryHierarchy {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    dtlb0: Tlb,
-    dtlb1: Tlb,
-    itlb: Tlb,
+    dtlb0: Cache,
+    dtlb1: Cache,
+    itlb: Cache,
     line_bytes: u64,
     page_bytes: u64,
     prefetcher: PrefetcherKind,
@@ -108,9 +110,9 @@ impl MemoryHierarchy {
             l1i: Cache::new(config.l1i),
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
-            dtlb0: Tlb::new(config.dtlb0, config.page_bytes),
-            dtlb1: Tlb::new(config.dtlb1, config.page_bytes),
-            itlb: Tlb::new(config.itlb, config.page_bytes),
+            dtlb0: Cache::tlb(config.dtlb0, config.page_bytes),
+            dtlb1: Cache::tlb(config.dtlb1, config.page_bytes),
+            itlb: Cache::tlb(config.itlb, config.page_bytes),
             line_bytes: config.l1d.line_bytes,
             page_bytes: config.page_bytes,
             prefetcher: config.prefetcher,
@@ -124,30 +126,30 @@ impl MemoryHierarchy {
     ///
     /// Stores allocate in the caches like loads (the L1D is write-allocate,
     /// write-back); split accesses touch both lines.
-    pub fn data_access(&mut self, addr: u64, size: u8, _is_store: bool) -> DataOutcome {
+    pub fn data_access(&mut self, addr: u64, size: u8) -> DataOutcome {
         let mut out = DataOutcome::default();
         let size = size.max(1) as u64;
         out.misaligned = !addr.is_multiple_of(size);
         out.split = (addr % self.line_bytes) + size > self.line_bytes;
 
         // Translation: L0 micro-TLB backed by the big DTLB.
-        out.dtlb0_miss = self.dtlb0.translate(addr);
+        out.dtlb0_miss = self.dtlb0.access(addr);
         if out.dtlb0_miss {
-            out.dtlb_miss = self.dtlb1.translate(addr);
+            out.dtlb_miss = self.dtlb1.access(addr);
         }
 
-        out.l1d_miss = self.l1d.access(addr).is_miss();
+        out.l1d_miss = self.l1d.access(addr);
         if out.split {
             // The second line of a split access also occupies the cache but
             // the PMU counts the access once.
             let second = addr + size - 1;
-            if self.l1d.access(second).is_miss() {
+            if self.l1d.access(second) {
                 out.l1d_miss = true;
                 self.l2_fill(second);
             }
         }
         if out.l1d_miss {
-            out.l2_miss = self.l2.access(addr).is_miss();
+            out.l2_miss = self.l2.access(addr);
             self.stream_prefetch(addr);
         }
         out
@@ -159,13 +161,13 @@ impl MemoryHierarchy {
     /// slightly ahead of retired ones (`MEM_LOAD_RETIRED.*`), as on real
     /// hardware.
     pub fn speculative_touch(&mut self, addr: u64) -> bool {
-        let dtlb0_miss = self.dtlb0.translate(addr);
+        let dtlb0_miss = self.dtlb0.access(addr);
         let dtlb_miss = if dtlb0_miss {
-            self.dtlb1.translate(addr)
+            self.dtlb1.access(addr)
         } else {
             false
         };
-        if self.l1d.access(addr).is_miss() {
+        if self.l1d.access(addr) {
             self.l2.access(addr);
         }
         dtlb_miss
@@ -174,17 +176,17 @@ impl MemoryHierarchy {
     /// Performs an instruction fetch at `pc`.
     pub fn fetch_access(&mut self, pc: u64) -> FetchOutcome {
         let mut out = FetchOutcome {
-            itlb_miss: self.itlb.translate(pc),
-            l1i_miss: self.l1i.access(pc).is_miss(),
+            itlb_miss: self.itlb.access(pc),
+            l1i_miss: self.l1i.access(pc),
             ..Default::default()
         };
         if out.l1i_miss {
-            out.l2_miss = self.l2.access(pc).is_miss();
+            out.l2_miss = self.l2.access(pc);
             if !out.l2_miss || self.prefetcher == PrefetcherKind::Off {
                 return out;
             }
             // Sequential code prefetch: pull the next line into L2.
-            self.l2.install(pc + self.line_bytes);
+            self.l2.access(pc + self.line_bytes);
         }
         out
     }
@@ -249,7 +251,7 @@ impl MemoryHierarchy {
                 if self.prefetch_tick % 8 != 7 {
                     let next = line as i64 + stride;
                     if next > 0 {
-                        self.l2.install(next as u64 * self.line_bytes);
+                        self.l2.access(next as u64 * self.line_bytes);
                     }
                 }
             }
@@ -268,7 +270,7 @@ impl MemoryHierarchy {
     }
 
     fn l2_fill(&mut self, addr: u64) {
-        if self.l2.access(addr).is_miss() {
+        if self.l2.access(addr) {
             self.stream_prefetch(addr);
         }
     }
@@ -282,61 +284,46 @@ impl MemoryHierarchy {
     /// Real applications touch their data during initialization; warming
     /// replaces simulating that init phase, so the emitted sections reflect
     /// each phase's steady behavior rather than compulsory-miss transients.
-    /// No statistics or counters are affected.
+    /// No counter is affected.
     pub fn warm(&mut self, data_base: u64, data_bytes: u64, code_base: u64, code_bytes: u64) {
         let line = self.line_bytes;
         let l2_cap = self.l2.geometry().size_bytes;
         let warm_data = data_bytes.min(l2_cap.saturating_sub(code_bytes.min(l2_cap / 2)));
         let mut addr = data_base;
         while addr < data_base + warm_data {
-            self.l2.install(addr);
+            self.l2.access(addr);
             addr += line;
         }
         let l1d_cap = self.l1d.geometry().size_bytes;
         let mut addr = data_base;
         while addr < data_base + data_bytes.min(l1d_cap / 2) {
-            self.l1d.install(addr);
+            self.l1d.access(addr);
             addr += line;
         }
         // TLB warm: install leading pages up to half of each reach.
         let page_bytes = self.page_bytes;
         let mut addr = data_base;
-        while addr < data_base + data_bytes.min(self.dtlb1.reach_bytes() / 2) {
-            self.dtlb0.install(addr);
-            self.dtlb1.install(addr);
+        while addr < data_base + data_bytes.min(self.dtlb1.geometry().size_bytes / 2) {
+            self.dtlb0.access(addr);
+            self.dtlb1.access(addr);
             addr += page_bytes;
         }
         let mut addr = code_base;
-        while addr < code_base + code_bytes.min(self.itlb.reach_bytes() / 2) {
-            self.itlb.install(addr);
+        while addr < code_base + code_bytes.min(self.itlb.geometry().size_bytes / 2) {
+            self.itlb.access(addr);
             addr += page_bytes;
         }
         let l1i_cap = self.l1i.geometry().size_bytes;
         let mut addr = code_base;
         while addr < code_base + code_bytes.min(l1i_cap / 2) {
-            self.l1i.install(addr);
+            self.l1i.access(addr);
             addr += line;
         }
         let mut addr = code_base;
         while addr < code_base + code_bytes.min(l2_cap / 4) {
-            self.l2.install(addr);
+            self.l2.access(addr);
             addr += line;
         }
-    }
-
-    /// The L1D statistics (diagnostics).
-    pub fn l1d_stats(&self) -> crate::cache::CacheStats {
-        self.l1d.stats()
-    }
-
-    /// The L2 statistics (diagnostics).
-    pub fn l2_stats(&self) -> crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// The last-level DTLB statistics (diagnostics).
-    pub fn dtlb_stats(&self) -> crate::tlb::TlbStats {
-        self.dtlb1.stats()
     }
 }
 
@@ -351,9 +338,9 @@ mod tests {
     #[test]
     fn cold_then_warm_data() {
         let mut m = mem();
-        let a = m.data_access(0x2000_0000, 8, false);
+        let a = m.data_access(0x2000_0000, 8);
         assert!(a.l1d_miss && a.l2_miss && a.dtlb0_miss && a.dtlb_miss);
-        let b = m.data_access(0x2000_0000, 8, false);
+        let b = m.data_access(0x2000_0000, 8);
         assert_eq!(b, DataOutcome::default());
     }
 
@@ -361,13 +348,13 @@ mod tests {
     fn misaligned_and_split_detection() {
         let mut m = mem();
         // 8-byte access at offset 61 of a 64-byte line: misaligned and split.
-        let o = m.data_access(0x2000_0000 + 61, 8, false);
+        let o = m.data_access(0x2000_0000 + 61, 8);
         assert!(o.misaligned && o.split);
         // Misaligned but within the line.
-        let o = m.data_access(0x2000_0000 + 12 + 1, 4, false);
+        let o = m.data_access(0x2000_0000 + 12 + 1, 4);
         assert!(o.misaligned && !o.split);
         // Aligned.
-        let o = m.data_access(0x2000_0000 + 64, 8, false);
+        let o = m.data_access(0x2000_0000 + 64, 8);
         assert!(!o.misaligned && !o.split);
     }
 
@@ -376,8 +363,8 @@ mod tests {
         let mut m = mem();
         let line = 64u64;
         // Split access at the end of line 0 pulls in line 1 too.
-        m.data_access(0x2000_0000 + line - 4, 8, false);
-        let second_line = m.data_access(0x2000_0000 + line, 8, false);
+        m.data_access(0x2000_0000 + line - 4, 8);
+        let second_line = m.data_access(0x2000_0000 + line, 8);
         assert!(!second_line.l1d_miss, "second line must be resident");
     }
 
@@ -385,13 +372,13 @@ mod tests {
     fn l2_hit_after_l1_eviction() {
         let mut m = mem();
         let base = 0x2000_0000u64;
-        m.data_access(base, 8, false);
+        m.data_access(base, 8);
         // Evict from the tiny 1 KiB L1 (16 lines) by touching 64 other lines
         // that still fit in the 8 KiB L2 (128 lines).
         for i in 1..=64u64 {
-            m.data_access(base + i * 64, 8, false);
+            m.data_access(base + i * 64, 8);
         }
-        let back = m.data_access(base, 8, false);
+        let back = m.data_access(base, 8);
         assert!(back.l1d_miss, "must have left L1");
         assert!(!back.l2_miss, "must still be in L2");
     }
@@ -401,13 +388,13 @@ mod tests {
         let mut m = mem();
         // Touch 6 pages: overflows the 4-entry L0 but fits the 8-entry DTLB1.
         for p in 0..6u64 {
-            m.data_access(0x2000_0000 + p * 4096, 8, false);
+            m.data_access(0x2000_0000 + p * 4096, 8);
         }
         // Second sweep: L0 thrashes, DTLB1 holds.
         let mut dtlb0_misses = 0;
         let mut dtlb_misses = 0;
         for p in 0..6u64 {
-            let o = m.data_access(0x2000_0000 + p * 4096, 8, false);
+            let o = m.data_access(0x2000_0000 + p * 4096, 8);
             dtlb0_misses += o.dtlb0_miss as u32;
             dtlb_misses += o.dtlb_miss as u32;
         }
@@ -438,8 +425,8 @@ mod tests {
         let mut misses_without = 0;
         for i in 0..256u64 {
             let addr = 0x3000_0000 + i * 64;
-            misses_with += with.data_access(addr, 8, false).l2_miss as u32;
-            misses_without += without.data_access(addr, 8, false).l2_miss as u32;
+            misses_with += with.data_access(addr, 8).l2_miss as u32;
+            misses_without += without.data_access(addr, 8).l2_miss as u32;
         }
         assert!(
             misses_with * 2 <= misses_without,
@@ -459,8 +446,8 @@ mod tests {
         let mut misses_stride = 0;
         for i in 0..256u64 {
             let addr = 0x5000_0000 + i * 128;
-            misses_next += next.data_access(addr, 8, false).l2_miss as u32;
-            misses_stride += strided.data_access(addr, 8, false).l2_miss as u32;
+            misses_next += next.data_access(addr, 8).l2_miss as u32;
+            misses_stride += strided.data_access(addr, 8).l2_miss as u32;
         }
         assert!(
             misses_stride * 2 <= misses_next,
@@ -478,8 +465,8 @@ mod tests {
         let mut misses_on = 0;
         for i in 0..256u64 {
             let addr = 0x6000_0000 + i * 64;
-            misses_off += with_off.data_access(addr, 8, false).l2_miss as u32;
-            misses_on += with_on.data_access(addr, 8, false).l2_miss as u32;
+            misses_off += with_off.data_access(addr, 8).l2_miss as u32;
+            misses_on += with_on.data_access(addr, 8).l2_miss as u32;
         }
         assert!(misses_off > misses_on, "off {misses_off} vs on {misses_on}");
     }
@@ -490,7 +477,7 @@ mod tests {
         let addr = 0x2000_0000u64;
         assert!(m.speculative_touch(addr), "cold speculative walk");
         // The retired access now finds the TLB warm.
-        let o = m.data_access(addr, 8, false);
+        let o = m.data_access(addr, 8);
         assert!(!o.dtlb_miss);
     }
 }

@@ -195,7 +195,7 @@ impl Simulator {
                         1,
                     );
                 }
-                let d = mem.data_access(addr, size, false);
+                let d = mem.data_access(addr, size);
                 if d.l1d_miss {
                     bank.add(Event::L1dm, 1);
                 }
@@ -224,7 +224,7 @@ impl Simulator {
             InstrKind::Store { addr, size } => {
                 bank.add(Event::InstSt, 1);
                 stores.record_store(addr, size);
-                let d = mem.data_access(addr, size, true);
+                let d = mem.data_access(addr, size);
                 // MEM_LOAD_RETIRED.* counters are load-only; stores fire
                 // only the any-DTLB-miss and alignment events.
                 if d.dtlb_miss {
