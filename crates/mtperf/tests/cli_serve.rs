@@ -17,11 +17,14 @@
 //!   promote keeps the last-known-good version, and the registry
 //!   manifest survives promote → `kill -9` → restart un-torn;
 //! * the TCP transport speaks the same protocol as stdio and the Unix
-//!   socket.
+//!   socket;
+//! * a golden transcript of request lines and their replies replays byte
+//!   for byte (`tests/golden/serve_session.ndjson`; refresh with
+//!   `UPDATE_GOLDEN=1 cargo test -p mtperf --test cli_serve golden`).
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Output, Stdio};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
@@ -130,7 +133,13 @@ struct Serve {
 
 impl Serve {
     fn start(args: &[&str]) -> Serve {
+        Serve::start_in(Path::new("."), args)
+    }
+
+    /// Starts the daemon with `dir` as its working directory.
+    fn start_in(dir: &Path, args: &[&str]) -> Serve {
         let mut child = Command::new(bin())
+            .current_dir(dir)
             .arg("serve")
             .args(args)
             .stdin(Stdio::piped())
@@ -781,4 +790,232 @@ fn kill_nine_mid_save_never_corrupts_the_model() {
     let bye = serve.request(r#"{"op":"shutdown"}"#);
     assert!(bye.contains("\"ok\":true"), "{bye}");
     assert!(serve.finish().0.success());
+}
+
+/// The golden transcript: request lines, each followed by the reply it
+/// must get, byte for byte.
+fn golden_transcript() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/serve_session.ndjson")
+}
+
+/// A 20-value row (the fixture model's width) whose first value is the
+/// token `first`; the other 19 match [`rows_json`].
+fn row20(first: &str) -> String {
+    let rest: Vec<String> = (1..20)
+        .map(|i| format!("{:.2}", 0.05 + i as f64 * 0.01))
+        .collect();
+    format!("[{first},{}]", rest.join(","))
+}
+
+/// The transcript's requests. Every line gets exactly one reply; the
+/// session is lockstep with one worker, so the replies (health counters
+/// and cache hits included) are deterministic.
+fn golden_requests() -> Vec<String> {
+    let r = row20("0.05");
+    let spaced = row20("0.05").replace(',', ", ");
+    let short = format!(
+        "[{}]",
+        row20("0.05")
+            .trim_end_matches(",0.24]")
+            .trim_start_matches('[')
+    );
+    vec![
+        r#"{"op":"health","id":"h0"}"#.to_string(),
+        r#"{"op":"list","id":"ls0"}"#.to_string(),
+        // v1 predicts: a miss, then the same rows as a cache hit.
+        format!(r#"{{"op":"predict","id":"p1","rows":[{r}]}}"#),
+        format!(r#"{{"op":"predict","id":"p1-again","rows":[{r}]}}"#),
+        // v2 predicts name the model and pin a version.
+        format!(
+            r#"{{"op":"predict","id":"p2","model":"default","version":"v1","rows":[{r},{}]}}"#,
+            row20("0.9")
+        ),
+        format!(r#"{{"op":"predict","id":"ghost","model":"ghost","rows":[{r}]}}"#),
+        format!(r#"{{"op":"predict","id":"v9","model":"default","version":"v9","rows":[{r}]}}"#),
+        // Python's json.dumps spacing and other whitespace.
+        format!(r#"{{"op": "predict", "id": "spaced", "rows": [{spaced}]}}"#),
+        format!(" {{ \"op\" :\t\"predict\" ,\r\"id\" : \"ws\" , \"rows\" : [ {r} ] }}\t"),
+        // Number tokens: integers, signed zeros, exponents, odd forms.
+        format!(
+            r#"{{"op":"predict","id":"ints","rows":[[{}]]}}"#,
+            (0..20).map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+        ),
+        format!(r#"{{"op":"predict","id":"zero","rows":[{}]}}"#, row20("0")),
+        format!(
+            r#"{{"op":"predict","id":"neg-zero-int","rows":[{}]}}"#,
+            row20("-0")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"neg-zero-float","rows":[{}]}}"#,
+            row20("-0.0")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"inf","rows":[{}]}}"#,
+            row20("1e999")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"forms","rows":[{}]}}"#,
+            [
+                "-.5",
+                "1.",
+                "007",
+                "1E2",
+                "1e-3",
+                "2.5e+1",
+                "-0e0",
+                "12345678901234567890123",
+                "-9223372036854775809",
+                "18446744073709551615",
+            ]
+            .map(|tok| format!("[{}]", vec![tok; 20].join(",")))
+            .join(",")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"u64max","rows":[{}]}}"#,
+            row20("18446744073709551615")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"bad-num","rows":[{}]}}"#,
+            row20("-")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"bad-exp","rows":[{}]}}"#,
+            row20("1e")
+        ),
+        format!(
+            r#"{{"op":"predict","id":"bad-dot","rows":[{}]}}"#,
+            row20(".5")
+        ),
+        // Ids: escapes, non-ASCII, surrogate pairs, raw control bytes.
+        r#"{"op":"health","id":"q\"uote\\back\/slash"}"#.to_string(),
+        r#"{"op":"health","id":"café"}"#.to_string(),
+        r#"{"op":"health","id":"café"}"#.to_string(),
+        r#"{"op":"health","id":"😀"}"#.to_string(),
+        r#"{"op":"health","id":"😀 raw"}"#.to_string(),
+        r#"{"op":"health","id":"\u0001\b\f\n\r\t"}"#.to_string(),
+        "{\"op\":\"health\",\"id\":\"raw\ttab\"}".to_string(),
+        r#"{"op":"health","id":"\u+041"}"#.to_string(),
+        r#"{"op":"health","id":"\ud800"}"#.to_string(),
+        r#"{"op":"health","id":"\udc00"}"#.to_string(),
+        r#"{"op":"health","id":"\ud800A"}"#.to_string(),
+        r#"{"op":"health","id":"\x"}"#.to_string(),
+        r#"{"op":"health","id":"\u12"}"#.to_string(),
+        // Unknown keys are skipped (but syntax-checked); the first of
+        // duplicate keys wins; null means absent.
+        r#"{"op":"list","id":"unknown","extra":{"a":[1,{"b":null}],"c":"A"},"z":true}"#.to_string(),
+        r#"{"op":"list","id":"unknown-bad","extra":[1,}"#.to_string(),
+        format!(r#"{{"op":"predict","op":"health","id":"dup-op","rows":[{r}],"rows":"junk"}}"#),
+        r#"{"id":"first","id":"second","op":"list"}"#.to_string(),
+        r#"{"op":"list","id":"dup-typed","id":5}"#.to_string(),
+        format!(
+            r#"{{"op":"predict","id":null,"model":null,"version":null,"path":null,"deadline_ms":null,"rows":[{r}]}}"#
+        ),
+        r#"{"op":null,"id":"null-op"}"#.to_string(),
+        r#"{"op":"predict","id":"null-rows","rows":null}"#.to_string(),
+        // Deadlines: expired, not an integer, negative, signed zero,
+        // largest u64, overflow.
+        format!(r#"{{"op":"predict","id":"d0","rows":[{r}],"deadline_ms":0}}"#),
+        format!(r#"{{"op":"predict","id":"d1.5","rows":[{r}],"deadline_ms":1.5}}"#),
+        format!(r#"{{"op":"predict","id":"d-1","rows":[{r}],"deadline_ms":-1}}"#),
+        format!(r#"{{"op":"predict","id":"d-0","rows":[{r}],"deadline_ms":-0}}"#),
+        format!(r#"{{"op":"predict","id":"d1e3","rows":[{r}],"deadline_ms":1e3}}"#),
+        format!(
+            r#"{{"op":"predict","id":"dmax","rows":[{r}],"deadline_ms":18446744073709551615}}"#
+        ),
+        format!(
+            r#"{{"op":"predict","id":"dover","rows":[{r}],"deadline_ms":18446744073709551616}}"#
+        ),
+        format!(r#"{{"op":"predict","id":"dstr","rows":[{r}],"deadline_ms":"5"}}"#),
+        // Row shapes, in the router's check order.
+        r#"{"op":"predict","id":"empty","rows":[]}"#.to_string(),
+        r#"{"op":"predict","id":"ghost-empty","model":"ghost","rows":[]}"#.to_string(),
+        r#"{"op":"predict","id":"narrow","rows":[[1.0]]}"#.to_string(),
+        r#"{"op":"predict","id":"empty-row","rows":[[]]}"#.to_string(),
+        format!(r#"{{"op":"predict","id":"ragged","rows":[{r},{short}]}}"#),
+        format!(r#"{{"op":"predict","id":"ragged-empty","rows":[{r},[]]}}"#),
+        format!(r#"{{"op":"predict","id":"narrow-then-wide","rows":[{short},{r}]}}"#),
+        format!(
+            r#"{{"op":"predict","id":"inf-expired","rows":[{}],"deadline_ms":0}}"#,
+            row20("1e999")
+        ),
+        r#"{"op":"predict","id":"rows-object","rows":{}}"#.to_string(),
+        r#"{"op":"predict","id":"rows-flat","rows":[1,2]}"#.to_string(),
+        r#"{"op":"predict","id":"rows-strings","rows":[["a"]]}"#.to_string(),
+        r#"{"op":"predict","id":"rows-null","rows":[[null]]}"#.to_string(),
+        r#"{"op":"predict","id":"rows-bool","rows":[[true]]}"#.to_string(),
+        // Lines that are not requests.
+        "hello".to_string(),
+        r#"{"op":"predict","rows":[[0.1,"#.to_string(),
+        r#"{"op":"health"} x"#.to_string(),
+        r#"{"op":"health"}}"#.to_string(),
+        r#"{"op":"health",}"#.to_string(),
+        "[1,2]".to_string(),
+        r#""op""#.to_string(),
+        "{}".to_string(),
+        r#"{"op":5}"#.to_string(),
+        r#"{"op":["predict"]}"#.to_string(),
+        r#"{"op":tru}"#.to_string(),
+        r#"{"op" "health"}"#.to_string(),
+        r#"{"op":"health","id":"unterminated}"#.to_string(),
+        // Ops.
+        r#"{"op":"frobnicate","id":"f"}"#.to_string(),
+        r#"{"id":"missing-op"}"#.to_string(),
+        r#"{"op":"ready","id":"h-end"}"#.to_string(),
+        r#"{"op":"list","id":"ls-end"}"#.to_string(),
+        r#"{"op":"shutdown","id":"bye"}"#.to_string(),
+    ]
+}
+
+#[test]
+fn golden_session_replays_byte_for_byte() {
+    let fx = Fixture::new("golden");
+    let requests = golden_requests();
+    let path = golden_transcript();
+    let pairs: Vec<(String, String)> = if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        requests
+            .iter()
+            .map(|q| (q.clone(), String::new()))
+            .collect()
+    } else {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden transcript {} ({e}); run with UPDATE_GOLDEN=1",
+                path.display()
+            )
+        });
+        let lines: Vec<&str> = text
+            .strip_suffix('\n')
+            .unwrap_or(&text)
+            .split('\n')
+            .collect();
+        assert_eq!(lines.len() % 2, 0, "transcript lines must come in pairs");
+        let pairs: Vec<(String, String)> = lines
+            .chunks(2)
+            .map(|p| (p[0].to_string(), p[1].to_string()))
+            .collect();
+        let golden: Vec<&String> = pairs.iter().map(|(q, _)| q).collect();
+        assert_eq!(
+            golden,
+            requests.iter().collect::<Vec<_>>(),
+            "the request list changed; re-mine with UPDATE_GOLDEN=1"
+        );
+        pairs
+    };
+    // The model is named by a relative path, so health and list replies
+    // carry no temp-dir path.
+    let mut serve = Serve::start_in(&fx.dir, &["--model", "model.json", "--workers", "1"]);
+    let mut mined = String::new();
+    for (request, want) in &pairs {
+        let got = serve.request(request);
+        if want.is_empty() {
+            mined.push_str(&format!("{request}\n{got}\n"));
+        } else {
+            assert_eq!(&got, want, "reply to {request}");
+        }
+    }
+    let (status, err) = serve.finish();
+    assert!(status.success(), "exit: {status:?}, stderr: {err}");
+    if !mined.is_empty() {
+        std::fs::write(&path, mined).expect("write golden transcript");
+    }
 }
