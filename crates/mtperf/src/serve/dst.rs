@@ -1220,7 +1220,6 @@ fn sim_probe_job(shared: &Arc<Shared>) -> super::Job {
         version: resolved.version,
         model: resolved.model,
         model_degraded: resolved.degraded,
-        raw_rows: None,
         rows: mtperf_linalg::Matrix::from_rows(&[&[0.0, 0.0][..]]).expect("static row"),
         token: mtperf_linalg::CancelToken::new(),
         writer: Arc::new(Mutex::new(Box::new(NullWriter))),

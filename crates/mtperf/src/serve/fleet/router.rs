@@ -38,7 +38,7 @@ use std::time::Duration;
 use mtperf_detsim::{clock, rng};
 use serde::Deserialize;
 
-use super::super::protocol::{self, ReplyHeader, Request, Response};
+use super::super::protocol::{self, ReplyHeader, Response};
 use super::super::transport::{write_line, Dispatch};
 use super::super::{SessionControl, SharedWriter};
 use super::balance;
@@ -185,9 +185,10 @@ fn is_idempotent(op: Option<&str>) -> bool {
 
 /// One accounted exchange with replica `idx`: inflight tracked, breaker
 /// charged for the outcome, link reset on failure (loser cancellation).
-/// The reply comes back with its header, parsed once here: a replica
-/// that answers garbage is as failed as one that answers nothing — the
-/// reply is discarded and the breaker charged.
+/// The reply comes back with its header, read once here by the protocol
+/// scanner (the payload is syntax-checked, not built): a replica that
+/// answers garbage is as failed as one that answers nothing — the reply
+/// is discarded and the breaker charged.
 fn try_replica(
     fleet: &Fleet,
     idx: usize,
@@ -202,9 +203,10 @@ fn try_replica(
     };
     slot.inflight.fetch_sub(1, Ordering::SeqCst);
     let outcome = match outcome {
-        Ok(reply) => {
-            let reply = reply.trim_end_matches(['\r', '\n']).to_string();
-            match serde_json::from_str::<ReplyHeader>(&reply) {
+        Ok(mut reply) => {
+            let framed = reply.trim_end_matches(['\r', '\n']).len();
+            reply.truncate(framed);
+            match protocol::decode_reply_header(&reply) {
                 Ok(header) if header.well_formed() => Ok((reply, header)),
                 _ => Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -255,10 +257,15 @@ fn candidates(
 
 /// Routes one idempotent request: pick, exchange, hedge once on a slow
 /// predict, fail over on errors within the retry budget and deadline.
-fn route(fleet: &Fleet, line: &str, id: Option<String>, req: Option<&Request>) -> String {
+fn route(
+    fleet: &Fleet,
+    line: &str,
+    id: Option<String>,
+    is_predict: bool,
+    deadline_ms: Option<u64>,
+) -> String {
     let start = clock::now();
-    let is_predict = req.and_then(|r| r.op.as_deref()) == Some("predict");
-    let deadline = req.and_then(|r| r.deadline_ms).map(Duration::from_millis);
+    let deadline = deadline_ms.map(Duration::from_millis);
     let mut budget = RetryBudget::new(fleet.retry_attempts, fleet.retry_base, fleet.retry_cap);
     let rng = rng::global();
     let mut hedged = false;
@@ -515,18 +522,24 @@ fn merge_health(fleet: &Fleet, line: &str, id: Option<String>) -> String {
 }
 
 /// Dispatches one client line to the fleet and returns exactly one
-/// response line (newline-terminated) plus the session verdict.
+/// response line (newline-terminated) plus the session verdict. Only the
+/// header is read; a line the scanner refuses has no op, id or deadline,
+/// and the replica answers it with its `bad_request`.
 pub(crate) fn dispatch_line(fleet: &Fleet, line: &str) -> (String, SessionControl) {
-    let req: Option<Request> = serde_json::from_str(line).ok();
-    let id = req.as_ref().and_then(|r| r.id.clone());
-    let op = req.as_ref().and_then(|r| r.op.as_deref());
+    let protocol::RequestHeader {
+        id,
+        op,
+        deadline_ms,
+        ..
+    } = protocol::decode_header(line).unwrap_or_default();
+    let op = op.as_deref();
     match op {
         // Drain is a router-level decision: acknowledged locally, never
         // forwarded (killing the replicas is the operator's call).
         Some("shutdown") => (Response::ack(id).to_line(), SessionControl::Shutdown),
         Some("health" | "ready") => (merge_health(fleet, line, id), SessionControl::Continue),
         op if is_idempotent(op) => (
-            route(fleet, line, id, req.as_ref()),
+            route(fleet, line, id, op == Some("predict"), deadline_ms),
             SessionControl::Continue,
         ),
         // Everything else — including unknown future mutating ops — is

@@ -198,9 +198,7 @@ pub(crate) struct Job {
     pub(crate) model: Arc<LoadedModel>,
     /// Whether the owning registry entry was degraded at admission.
     pub(crate) model_degraded: bool,
-    /// Original row values, kept only for cacheable (small) batches so
-    /// the worker can memoize the fresh result.
-    pub(crate) raw_rows: Option<Vec<Vec<f64>>>,
+    /// The request's rows; small batches are also the cache key.
     pub(crate) rows: Matrix,
     pub(crate) token: CancelToken,
     pub(crate) writer: SharedWriter,
@@ -278,12 +276,12 @@ pub(crate) fn answer(shared: &Arc<Shared>, job: Job) {
                     .degraded_responses
                     .fetch_add(1, Ordering::Relaxed);
                 mtperf_obs::add("serve.degraded", 1);
-            } else if let Some(raw) = &job.raw_rows {
+            } else if job.rows.rows() <= cache::MAX_CACHED_ROWS {
                 shared
                     .cache
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(&job.tenant, &job.version, raw, &predictions);
+                    .insert_matrix(&job.tenant, &job.version, &job.rows, &predictions);
             }
             send(
                 &job.writer,
