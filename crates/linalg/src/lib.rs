@@ -45,4 +45,6 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use parallel::{try_par_fill, try_par_map, CancelToken, Parallelism};
 pub use qr::lstsq_qr;
-pub use solve::{cholesky, cholesky_solve, lstsq, solve_lower, solve_upper};
+pub use solve::{
+    cholesky, cholesky_solve, lstsq, solve_lower, solve_normal_equations, solve_upper,
+};

@@ -6,11 +6,19 @@
 //! solves the normal equations by Cholesky factorization and escalates to a
 //! tiny ridge penalty when the Gram matrix is singular to working precision,
 //! which keeps the fit defined (and harmless) in the degenerate cases.
+//!
+//! [`lstsq`] is two steps: form the normal equations
+//! ([`Matrix::gram`] and [`Matrix::t_matvec`]), then solve them
+//! ([`solve_normal_equations`]). A caller that fits many column subsets of
+//! one design matrix — the model tree's term elimination — forms the Gram
+//! matrix once and hands each subset's rows and columns of it to the second
+//! step. Each Gram entry depends only on its own two columns, so that gives
+//! the same bits as [`lstsq`] on the reduced design matrix.
 
 use crate::{LinalgError, Matrix};
 
-/// Relative ridge escalation ladder used by [`lstsq`] when the plain normal
-/// equations are singular.
+/// Relative ridge escalation ladder used by [`solve_normal_equations`] when
+/// the plain normal equations are singular.
 const RIDGE_LADDER: [f64; 4] = [1e-12, 1e-9, 1e-6, 1e-3];
 
 /// Cholesky factorization of a symmetric positive-definite matrix.
@@ -150,9 +158,33 @@ pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
             op: "lstsq",
         });
     }
-    let g = x.gram();
-    let rhs = x.t_matvec(y)?;
-    if let Ok(beta) = cholesky_solve(&g, &rhs) {
+    solve_normal_equations(&x.gram(), &x.t_matvec(y)?)
+}
+
+/// Solves the normal equations `G·beta = rhs` of a least-squares problem,
+/// where `G = XᵀX` and `rhs = Xᵀy`: the second step of [`lstsq`].
+///
+/// Tries Cholesky first. If `G` is singular to working precision, retries
+/// with a relative ridge penalty that escalates through `1e-12 … 1e-3`
+/// times the largest diagonal entry of `G` (at least 1).
+///
+/// # Errors
+///
+/// Returns [`LinalgError::Empty`] if `g` is `0 × 0`,
+/// [`LinalgError::ShapeMismatch`] if `g` is not square or `rhs` does not
+/// match it, and [`LinalgError::Singular`] if every ridge step fails.
+pub fn solve_normal_equations(g: &Matrix, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    if g.rows() == 0 {
+        return Err(LinalgError::Empty);
+    }
+    if g.rows() != g.cols() || rhs.len() != g.rows() {
+        return Err(LinalgError::ShapeMismatch {
+            left: g.shape(),
+            right: (rhs.len(), 1),
+            op: "solve_normal_equations",
+        });
+    }
+    if let Ok(beta) = cholesky_solve(g, rhs) {
         return Ok(beta);
     }
     let scale = (0..g.rows())
@@ -163,7 +195,7 @@ pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
         for i in 0..gr.rows() {
             gr[(i, i)] += rel * scale;
         }
-        if let Ok(beta) = cholesky_solve(&gr, &rhs) {
+        if let Ok(beta) = cholesky_solve(&gr, rhs) {
             return Ok(beta);
         }
     }
@@ -289,6 +321,40 @@ mod tests {
         for (p, a) in yhat.iter().zip(&y) {
             assert!((p - a).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn lstsq_is_its_two_steps() {
+        // Duplicate columns: the plain solve fails and the ridge ladder runs.
+        let x = Matrix::from_rows(&[
+            &[1.0, 2.0, 2.0],
+            &[1.0, 3.0, 3.0],
+            &[1.0, 5.0, 5.0],
+            &[1.0, 7.0, 7.0],
+        ])
+        .unwrap();
+        let y = [1.0, 4.0, 0.5, 9.0];
+        let two_step = solve_normal_equations(&x.gram(), &x.t_matvec(&y).unwrap()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lstsq(&x, &y).unwrap()), bits(&two_step));
+    }
+
+    #[test]
+    fn normal_equations_reject_bad_shapes() {
+        let empty = Matrix::zeros(0, 0);
+        assert_eq!(
+            solve_normal_equations(&empty, &[]).unwrap_err(),
+            LinalgError::Empty
+        );
+        let g = Matrix::identity(2);
+        assert!(matches!(
+            solve_normal_equations(&g, &[1.0]),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            solve_normal_equations(&Matrix::zeros(2, 3), &[1.0, 1.0]),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -1,8 +1,32 @@
 //! Linear models for tree nodes.
+//!
+//! A node model is fitted over the attributes its subtree splits on, then
+//! simplified by greedy term elimination: drop the first term whose removal
+//! lowers the inflated error, refit, repeat. Every candidate is solved from
+//! one set of normal equations per node ([`NormalEquations`]). The node's
+//! constant attributes are filtered once; the design matrix `X` over the
+//! intercept and the remaining *live* attributes is built once, and so are
+//! `XᵀX` and `Xᵀy`. A candidate's system is the matching rows and columns
+//! of those, handed to [`solve_normal_equations`].
+//!
+//! That gives the same bits as a fresh [`lstsq`](mtperf_linalg::lstsq) on
+//! the candidate's own design matrix. [`Matrix::gram`] sums
+//! `x[r][a]·x[r][b]` into entry `(a, b)` over the rows in order, skipping a
+//! row only when `x[r][a]` is zero, and [`Matrix::t_matvec`] skips only rows
+//! whose target is zero. So each entry depends on its own two columns
+//! alone, and dropping other columns leaves it unchanged; the ridge scale,
+//! the largest remaining diagonal entry, is unchanged too. Every candidate
+//! is a subset of the live attributes, so a fresh fit's own constant-column
+//! filter would drop nothing. The model with no terms is the targets' mean,
+//! as a fresh fit over no live attribute gives.
+//!
+//! Errors are scored from the dataset's columns: [`LinearModel::mean_abs_error`]
+//! evaluates the expression [`LinearModel::predict`] evaluates, with the
+//! same operands in the same order, without copying each instance's row.
 
 use serde::{Deserialize, Serialize};
 
-use mtperf_linalg::{lstsq, Matrix};
+use mtperf_linalg::{solve_normal_equations, Matrix};
 
 use crate::{Dataset, MtreeError};
 
@@ -56,47 +80,18 @@ impl LinearModel {
     /// Returns [`MtreeError::EmptyDataset`] if `idx` is empty and
     /// propagates unrecoverable solver failures.
     pub fn fit(data: &Dataset, idx: &[usize], attrs: &[usize]) -> Result<Self, MtreeError> {
-        if idx.is_empty() {
-            return Err(MtreeError::EmptyDataset);
-        }
-        // Keep only attributes with variation on this subset.
-        let mut live: Vec<usize> = Vec::with_capacity(attrs.len());
-        for &j in attrs {
-            let col = data.column(j);
-            let first = col[idx[0]];
-            if idx.iter().any(|&i| col[i] != first) {
-                live.push(j);
-            }
-        }
-        live.sort_unstable();
-        live.dedup();
-
-        let y: Vec<f64> = idx.iter().map(|&i| data.target(i)).collect();
-        if live.is_empty() {
-            let mean = y.iter().sum::<f64>() / y.len() as f64;
-            return Ok(LinearModel::constant(mean));
-        }
-        let mut x = Matrix::zeros(idx.len(), live.len() + 1);
-        for (r, &i) in idx.iter().enumerate() {
-            x[(r, 0)] = 1.0;
-            for (c, &j) in live.iter().enumerate() {
-                x[(r, c + 1)] = data.value(i, j);
-            }
-        }
-        let beta = lstsq(&x, &y)?;
-        Ok(LinearModel {
-            intercept: beta[0],
-            terms: live
-                .iter()
-                .copied()
-                .zip(beta[1..].iter().copied())
-                .collect(),
-        })
+        let normal = NormalEquations::new(data, idx, attrs)?;
+        normal.solve(&normal.all())
     }
 
     /// Fits a model over `attrs`, then greedily removes terms while the
     /// inflated error estimate improves — M5's simplification step, which is
     /// what produces the compact leaf equations of the paper.
+    ///
+    /// Each pass tries dropping the current terms in attribute order and
+    /// keeps the first candidate whose inflated error is lower. Every
+    /// candidate is solved from the node's one set of normal equations
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -106,33 +101,24 @@ impl LinearModel {
         idx: &[usize],
         attrs: &[usize],
     ) -> Result<Self, MtreeError> {
-        let mut attrs: Vec<usize> = attrs.to_vec();
-        attrs.sort_unstable();
-        attrs.dedup();
-        let mut best = LinearModel::fit(data, idx, &attrs)?;
+        let normal = NormalEquations::new(data, idx, attrs)?;
+        let mut keep = normal.all();
+        let mut best = normal.solve(&keep)?;
         let mut best_err = best.inflated_error(data, idx);
-        loop {
-            // Restrict candidates to the attributes the current model kept.
-            let current: Vec<usize> = best.terms.iter().map(|&(j, _)| j).collect();
-            if current.is_empty() {
-                return Ok(best);
-            }
-            let mut improved = false;
-            for drop in &current {
-                let reduced: Vec<usize> = current.iter().copied().filter(|j| j != drop).collect();
-                let candidate = LinearModel::fit(data, idx, &reduced)?;
+        'pass: while !keep.is_empty() {
+            for drop in 0..keep.len() {
+                let mut reduced = keep.clone();
+                reduced.remove(drop);
+                let candidate = normal.solve(&reduced)?;
                 let err = candidate.inflated_error(data, idx);
                 if err < best_err {
-                    best = candidate;
-                    best_err = err;
-                    improved = true;
-                    break;
+                    (best, best_err, keep) = (candidate, err, reduced);
+                    continue 'pass;
                 }
             }
-            if !improved {
-                return Ok(best);
-            }
+            break;
         }
+        Ok(best)
     }
 
     /// The intercept term.
@@ -164,7 +150,13 @@ impl LinearModel {
     ///
     /// Panics if `row` is shorter than the largest attribute index used.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        self.intercept + self.terms.iter().map(|&(j, c)| c * row[j]).sum::<f64>()
+        self.eval(|j| row[j])
+    }
+
+    /// The model's value where attribute `j` reads `value(j)`.
+    #[inline]
+    fn eval(&self, value: impl Fn(usize) -> f64) -> f64 {
+        self.intercept + self.terms.iter().map(|&(j, c)| c * value(j)).sum::<f64>()
     }
 
     /// Mean absolute residual of this model on the instances in `idx`.
@@ -174,7 +166,7 @@ impl LinearModel {
         }
         let sum: f64 = idx
             .iter()
-            .map(|&i| (self.predict(&data.row(i)) - data.target(i)).abs())
+            .map(|&i| (self.eval(|j| data.value(i, j)) - data.target(i)).abs())
             .sum();
         sum / idx.len() as f64
     }
@@ -210,6 +202,100 @@ impl LinearModel {
             }
         }
         s
+    }
+}
+
+/// The normal equations of one node's design matrix `[1 | live attributes]`,
+/// from which every subset of the live attributes is solved.
+struct NormalEquations {
+    /// The attributes that vary over the node's instances, ascending.
+    live: Vec<usize>,
+    /// Mean of the node's targets: the model with no terms.
+    mean: f64,
+    /// `XᵀX` over the intercept column and `live` (`0 × 0` when `live` is
+    /// empty).
+    gram: Matrix,
+    /// `Xᵀy`, in the same column order.
+    rhs: Vec<f64>,
+}
+
+impl NormalEquations {
+    /// Filters the attributes in `attrs` that are constant over `idx`, then
+    /// forms the normal equations over the rest.
+    fn new(data: &Dataset, idx: &[usize], attrs: &[usize]) -> Result<Self, MtreeError> {
+        if idx.is_empty() {
+            return Err(MtreeError::EmptyDataset);
+        }
+        // Keep only attributes with variation on this subset.
+        let mut live: Vec<usize> = Vec::with_capacity(attrs.len());
+        for &j in attrs {
+            let col = data.column(j);
+            let first = col[idx[0]];
+            if idx.iter().any(|&i| col[i] != first) {
+                live.push(j);
+            }
+        }
+        live.sort_unstable();
+        live.dedup();
+
+        let y: Vec<f64> = idx.iter().map(|&i| data.target(i)).collect();
+        let mean = y.iter().sum::<f64>() / y.len() as f64;
+        if live.is_empty() {
+            return Ok(NormalEquations {
+                live,
+                mean,
+                gram: Matrix::zeros(0, 0),
+                rhs: Vec::new(),
+            });
+        }
+        let mut x = Matrix::zeros(idx.len(), live.len() + 1);
+        for (r, &i) in idx.iter().enumerate() {
+            x[(r, 0)] = 1.0;
+            for (c, &j) in live.iter().enumerate() {
+                x[(r, c + 1)] = data.value(i, j);
+            }
+        }
+        mtperf_obs::add("mtree.gram_builds", 1);
+        Ok(NormalEquations {
+            gram: x.gram(),
+            rhs: x.t_matvec(&y)?,
+            live,
+            mean,
+        })
+    }
+
+    /// Every live attribute, as positions in `live`.
+    fn all(&self) -> Vec<usize> {
+        (0..self.live.len()).collect()
+    }
+
+    /// Fits the model over the live attributes at the ascending positions
+    /// `keep`.
+    fn solve(&self, keep: &[usize]) -> Result<LinearModel, MtreeError> {
+        if keep.is_empty() {
+            return Ok(LinearModel::constant(self.mean));
+        }
+        // Column 0 is the intercept; live attribute `k` is column `k + 1`.
+        let cols: Vec<usize> = std::iter::once(0)
+            .chain(keep.iter().map(|&k| k + 1))
+            .collect();
+        let mut gram = Matrix::zeros(cols.len(), cols.len());
+        for (a, &ca) in cols.iter().enumerate() {
+            for (b, &cb) in cols.iter().enumerate() {
+                gram[(a, b)] = self.gram[(ca, cb)];
+            }
+        }
+        let rhs: Vec<f64> = cols.iter().map(|&c| self.rhs[c]).collect();
+        mtperf_obs::add("mtree.model_solves", 1);
+        let beta = solve_normal_equations(&gram, &rhs)?;
+        Ok(LinearModel {
+            intercept: beta[0],
+            terms: keep
+                .iter()
+                .map(|&k| self.live[k])
+                .zip(beta[1..].iter().copied())
+                .collect(),
+        })
     }
 }
 
