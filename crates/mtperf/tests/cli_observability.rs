@@ -305,11 +305,18 @@ fn tracing_leaves_evaluation_metrics_bit_identical() {
             "missing fold {fold}"
         );
     }
-    // Split-search counters made it into the global registry events.
-    assert!(
-        trace.contains("\"name\":\"mtree.split_searches\""),
-        "missing split-search counter"
-    );
+    // The learner's work counters made it into the global registry events:
+    // split searches, node Gram matrices and the model solves they serve.
+    for counter in [
+        "mtree.split_searches",
+        "mtree.gram_builds",
+        "mtree.model_solves",
+    ] {
+        assert!(
+            trace.contains(&format!("\"name\":\"{counter}\"")),
+            "missing counter {counter}"
+        );
+    }
 }
 
 #[test]
