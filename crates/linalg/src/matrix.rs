@@ -142,6 +142,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Consumes the matrix and returns its row-major buffer, the inverse of
+    /// [`Matrix::from_vec`]; lets a caller reuse the allocation.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Returns the transpose of `self`.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

@@ -280,6 +280,20 @@ pub fn transplant_rates(rates: &[f64], factors: &[f64; N_EVENTS]) -> [f64; N_EVE
     out
 }
 
+/// The factor columns that column `col` of [`transplant_rates`] reads: its
+/// own, and for `BrPred` also `BrMisPr`'s, because the mispredicts a
+/// predictor removes reappear as correct predictions.
+///
+/// A factor column whose measured rate is zero after the `max(0.0)` clamp
+/// cannot move the result: [`scale_factors`] are finite and positive, so
+/// `0 × factor` is the same zero on every machine. Two machines whose
+/// factors agree on every column read with a nonzero rate therefore get
+/// bit-identical values in `col`; `mtperf sweep` prices such machines once.
+pub fn factor_columns(col: usize) -> impl Iterator<Item = usize> {
+    let branch = (col == Event::BrPred.index()).then_some(Event::BrMisPr.index());
+    std::iter::once(col).chain(branch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +433,61 @@ mod tests {
         let after = out[Event::BrMisPr.index()] + out[Event::BrPred.index()];
         assert!((before - after).abs() < 1e-12, "{before} vs {after}");
         assert!(out[Event::BrMisPr.index()] < rates[Event::BrMisPr.index()]);
+    }
+
+    #[test]
+    fn transplanted_columns_read_only_their_factor_columns() {
+        let base = MachineConfig::core2_duo();
+        let mut variants = vec![base.clone()];
+        for (l1d, l2, history, dtlb) in [(16, 512, 8, 128), (64, 4096, 16, 512)] {
+            let mut m = base.clone();
+            m.l1d.size_bytes = l1d * 1024;
+            m.l1i.size_bytes = l1d * 1024;
+            m.l2.size_bytes = l2 * 1024;
+            m.predictor.history_bits = history;
+            m.dtlb1.entries = dtlb;
+            m.itlb.entries = dtlb / 2;
+            variants.push(m);
+        }
+        let factors: Vec<[f64; N_EVENTS]> =
+            variants.iter().map(|v| scale_factors(&base, v)).collect();
+        // Every rate sign the repair policies can leave, on every column.
+        for value in [0.0, -0.0, -0.02, 0.03, 1.5] {
+            for zeroed in 0..=N_EVENTS {
+                let mut rates = [0.011_f64; N_EVENTS];
+                if zeroed < N_EVENTS {
+                    rates[zeroed] = value;
+                }
+                for (a, fa) in factors.iter().enumerate() {
+                    for fb in &factors {
+                        // `mixed` takes `fb` on the columns `col` reads with a
+                        // nonzero rate and `fa` everywhere else; `col` must
+                        // come out as it does under `fb` alone.
+                        for col in 0..N_EVENTS {
+                            let mut mixed = *fa;
+                            for k in factor_columns(col) {
+                                if rates[k].max(0.0) != 0.0 {
+                                    mixed[k] = fb[k];
+                                }
+                            }
+                            let got = transplant_rates(&rates, &mixed)[col];
+                            let want = transplant_rates(&rates, fb)[col];
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "column {col}, variant {a}, rate {value} on column {zeroed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let pred = Event::BrPred.index();
+        assert_eq!(
+            factor_columns(pred).collect::<Vec<_>>(),
+            vec![pred, Event::BrMisPr.index()]
+        );
+        assert_eq!(factor_columns(0).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use mtperf_counters::{IngestPolicy, SampleSet};
 use mtperf_eval::{breakdown_table, comparison_table, cross_validate, per_label_metrics, Metrics};
 use mtperf_linalg::parallel::{self, Parallelism};
 use mtperf_mtree::{
-    analysis, residual_dataset, Dataset, Learner, M5Learner, M5Params, ModelTree, ResidualLearner,
-    RuleSet,
+    analysis, residual_dataset, Dataset, Learner, M5Learner, M5Params, ModelTree, MtreeError,
+    ResidualLearner, RuleSet,
 };
 use mtperf_sim::MachineConfig;
 use serde::Serialize;
@@ -655,17 +655,21 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
 /// `mtperf sweep`: design-space exploration through a trained model.
 ///
 /// Reads a [`sweep::SweepSpec`] JSON file, enumerates the configuration
-/// grid, transplants every section of `--data` onto each configuration,
-/// scores the whole grid through the compiled parallel engine, and prints
-/// the best configurations with per-config counter blame. `--out` writes
-/// the full `mtperf-sweep-v1` JSON report (atomically); `--format json`
-/// prints it to stdout instead of the table.
+/// grid, moves the sections of `--data` onto each configuration, and prints
+/// the best configurations with per-config counter blame. Configurations
+/// the model cannot tell apart share one class, and a section's zero rates
+/// drop out, so each distinct transplanted row goes through the compiled
+/// parallel engine once ([`sweep::run`]). `--out` writes the full
+/// `mtperf-sweep-v1` JSON report (atomically); `--format json` prints it to
+/// stdout instead of the table.
 ///
 /// # Errors
 ///
 /// [`CliError::Usage`] for bad options or spec parameters (unknown machine,
 /// zero axis values, oversized grids), [`CliError::Data`] for an unreadable
-/// spec or a model/data width mismatch, [`CliError::Io`] for file errors.
+/// spec, a model/data width mismatch, or a section that prices to a number
+/// that is not finite (the message names the section and the column),
+/// [`CliError::Io`] for file errors.
 pub fn cmd_sweep(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let spec_path = args.require("spec")?;
     let tree = ModelTree::load(args.require("model")?)?;
@@ -692,7 +696,21 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliErr
         &samples,
         args.flag("residual"),
         parallel::global(),
-    )?;
+    )
+    .map_err(|e| match e {
+        MtreeError::NonFiniteValue { row, attr } => {
+            let section = &samples.samples()[row];
+            let what = match attr {
+                Some(a) => format!("transplanted {} is not finite", tree.attr_names()[a]),
+                None => "predicted CPI is not finite".to_string(),
+            };
+            CliError::Data(format!(
+                "sweep: section {row} ({} #{}): {what}",
+                section.workload, section.section_index
+            ))
+        }
+        other => other.into(),
+    })?;
     if let Some(path) = args.options.get("out") {
         let mut json =
             serde_json::to_string_pretty(&report).map_err(|e| CliError::Other(e.to_string()))?;

@@ -320,6 +320,73 @@ fn tracing_leaves_evaluation_metrics_bit_identical() {
 }
 
 #[test]
+fn tracing_leaves_the_sweep_report_unchanged_and_counts_its_classes() {
+    let fx = Fixture::new("sweep-identity");
+    let trace_path = fx.dir.join("sweep-trace.jsonl").display().to_string();
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/sweep_smoke.json"
+    );
+    let sweep = [
+        "sweep", "--spec", spec, "--model", &fx.model, "--data", &fx.csv,
+    ];
+
+    let plain = run(&[&sweep[..], &["--format", "json"]].concat());
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    let traced = run(&[
+        &sweep[..],
+        &["--format", "json", "--trace", "--trace-out", &trace_path],
+    ]
+    .concat());
+    assert!(traced.status.success(), "{}", stderr(&traced));
+    assert_eq!(
+        stdout(&plain),
+        stdout(&traced),
+        "tracing changed the sweep report"
+    );
+
+    let report = stdout(&plain);
+    let field = |text: &str, key: &str| -> u64 {
+        let at = text
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {text}"))
+            + key.len();
+        let digits: String = text[at..]
+            .chars()
+            .skip_while(|c| !c.is_ascii_digit())
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a count")
+    };
+    let (configs, sections) = (
+        field(&report, "\"n_configs\""),
+        field(&report, "\"n_sections\""),
+    );
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file");
+    assert!(
+        trace.contains("\"name\":\"sweep\""),
+        "trace missing the sweep span"
+    );
+    // Each counter is booked once per run: one event, with a value the
+    // grid bounds.
+    for (counter, most) in [
+        ("sweep.config_classes", configs),
+        ("sweep.rows_priced", configs * sections),
+    ] {
+        let events: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"counter\"") && l.contains(&format!("\"{counter}\"")))
+            .collect();
+        assert_eq!(events.len(), 1, "{counter}: {events:?}");
+        let value = field(events[0], "\"value\"");
+        assert!(
+            (1..=most).contains(&value),
+            "{counter} = {value}, most {most}"
+        );
+    }
+}
+
+#[test]
 fn trace_artifacts_do_not_touch_saved_models() {
     // `train --trace-out` must write the same model bytes as a plain train.
     let fx = Fixture::new("train-identity");
