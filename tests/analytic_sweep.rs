@@ -283,6 +283,51 @@ fn width_mismatch_is_a_data_error_not_a_panic() {
 }
 
 #[test]
+fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
+    let dir = scratch("overflow");
+    let csv = simulate_csv(&dir);
+    let model = dir.join("model.json");
+    run_cli(&[
+        "train",
+        "--data",
+        csv.to_str().unwrap(),
+        "--out",
+        model.to_str().unwrap(),
+    ])
+    .unwrap();
+    // Strict ingest accepts a huge but finite L1IM rate; an 8 KiB L1I
+    // doubles it past f64::MAX, which once panicked the sweep.
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let column = lines[0].split(',').position(|h| h == "L1IM").unwrap();
+    let mut fields: Vec<String> = lines[18].split(',').map(str::to_string).collect();
+    fields[column] = "1.7e308".to_string();
+    lines[18] = fields.join(",");
+    let huge = dir.join("huge.csv");
+    std::fs::write(&huge, lines.join("\n") + "\n").unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, r#"{"axes": {"l1i_kb": [8, 32]}}"#).unwrap();
+
+    let err = run_cli(&[
+        "sweep",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--model",
+        model.to_str().unwrap(),
+        "--data",
+        huge.to_str().unwrap(),
+    ])
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 65, "{err}");
+    let message = err.to_string();
+    assert!(
+        message.contains("section 17") && message.contains("L1IM"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn residual_flag_requires_analytic_features() {
     let dir = scratch("resflag");
     let csv = simulate_csv(&dir);
