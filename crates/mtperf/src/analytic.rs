@@ -280,18 +280,29 @@ pub fn transplant_rates(rates: &[f64], factors: &[f64; N_EVENTS]) -> [f64; N_EVE
     out
 }
 
-/// The factor columns that column `col` of [`transplant_rates`] reads: its
-/// own, and for `BrPred` also `BrMisPr`'s, because the mispredicts a
-/// predictor removes reappear as correct predictions.
+/// The factor columns that column `col` of a transplanted row reads. A
+/// counter column of [`transplant_rates`] reads its own, and `BrPred` also
+/// `BrMisPr`'s, because the mispredicts a predictor removes reappear as
+/// correct predictions. An analytic column (`col >= N_EVENTS`, in
+/// [`ANALYTIC_NAMES`] order) reads every counter's, because
+/// [`AnalyticModel::features`] takes the whole transplanted row.
 ///
 /// A factor column whose measured rate is zero after the `max(0.0)` clamp
 /// cannot move the result: [`scale_factors`] are finite and positive, so
 /// `0 × factor` is the same zero on every machine. Two machines whose
 /// factors agree on every column read with a nonzero rate therefore get
 /// bit-identical values in `col`; `mtperf sweep` prices such machines once.
+/// For the analytic columns this also needs the base machine's
+/// [`AnalyticModel`] to price every swept machine, which holds because no
+/// sweep axis moves a parameter [`AnalyticModel::components`] reads.
 pub fn factor_columns(col: usize) -> impl Iterator<Item = usize> {
+    let own = if col < N_EVENTS {
+        col..col + 1
+    } else {
+        0..N_EVENTS
+    };
     let branch = (col == Event::BrPred.index()).then_some(Event::BrMisPr.index());
-    std::iter::once(col).chain(branch)
+    own.chain(branch)
 }
 
 #[cfg(test)]
@@ -451,6 +462,15 @@ mod tests {
         }
         let factors: Vec<[f64; N_EVENTS]> =
             variants.iter().map(|v| scale_factors(&base, v)).collect();
+        // The whole row a sweep prices: the transplanted counters, then the
+        // analytic columns of the base machine's model.
+        let model = AnalyticModel::new(base.clone());
+        let row = |rates: &[f64], factors: &[f64; N_EVENTS]| {
+            let moved = transplant_rates(rates, factors);
+            let mut row = moved.to_vec();
+            row.extend_from_slice(&model.features(&moved));
+            row
+        };
         // Every rate sign the repair policies can leave, on every column.
         for value in [0.0, -0.0, -0.02, 0.03, 1.5] {
             for zeroed in 0..=N_EVENTS {
@@ -463,15 +483,15 @@ mod tests {
                         // `mixed` takes `fb` on the columns `col` reads with a
                         // nonzero rate and `fa` everywhere else; `col` must
                         // come out as it does under `fb` alone.
-                        for col in 0..N_EVENTS {
+                        for col in 0..N_EVENTS + N_ANALYTIC {
                             let mut mixed = *fa;
                             for k in factor_columns(col) {
                                 if rates[k].max(0.0) != 0.0 {
                                     mixed[k] = fb[k];
                                 }
                             }
-                            let got = transplant_rates(&rates, &mixed)[col];
-                            let want = transplant_rates(&rates, fb)[col];
+                            let got = row(&rates, &mixed)[col];
+                            let want = row(&rates, fb)[col];
                             assert_eq!(
                                 got.to_bits(),
                                 want.to_bits(),
@@ -488,6 +508,74 @@ mod tests {
             vec![pred, Event::BrMisPr.index()]
         );
         assert_eq!(factor_columns(0).collect::<Vec<_>>(), vec![0]);
+        for col in N_EVENTS..N_EVENTS + N_ANALYTIC {
+            assert_eq!(
+                factor_columns(col).collect::<Vec<_>>(),
+                (0..N_EVENTS).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn no_sweep_axis_moves_the_analytic_model() {
+        // `mtperf sweep` prices the analytic columns of every configuration
+        // with the base machine's model, which holds only while no axis
+        // moves a parameter `components` reads.
+        let rows = [
+            [0.0; N_EVENTS],
+            [-0.0; N_EVENTS],
+            [0.011; N_EVENTS],
+            [-0.02; N_EVENTS],
+            [1e300; N_EVENTS],
+            [f64::MAX; N_EVENTS],
+            rates_with(&[
+                (Event::L1dm, 0.02),
+                (Event::L2m, 0.03),
+                (Event::BrMisPr, -0.01),
+                (Event::L1im, 1.7e308),
+            ]),
+        ];
+        for name in ["core2_duo", "netburst_like", "tiny"] {
+            let base = crate::sweep::machine_by_name(name).unwrap();
+            // Doubling keeps every geometry valid and 12 history bits within
+            // the 24-bit limit.
+            let axes: Vec<String> = crate::sweep::AXIS_NAMES
+                .iter()
+                .map(|&axis| {
+                    let value = match axis {
+                        "l1d_kb" => base.l1d.size_bytes / 1024,
+                        "l1d_ways" => u64::from(base.l1d.ways),
+                        "l1i_kb" => base.l1i.size_bytes / 1024,
+                        "l2_kb" => base.l2.size_bytes / 1024,
+                        "l2_ways" => u64::from(base.l2.ways),
+                        "dtlb1_entries" => u64::from(base.dtlb1.entries),
+                        "itlb_entries" => u64::from(base.itlb.entries),
+                        "history_bits" => u64::from(base.predictor.history_bits),
+                        other => panic!("no test values for sweep axis {other}"),
+                    };
+                    format!(r#""{axis}": [{value}, {}]"#, 2 * value)
+                })
+                .collect();
+            let spec: crate::sweep::SweepSpec = serde_json::from_str(&format!(
+                r#"{{"base_machine": "{name}", "axes": {{{}}}}}"#,
+                axes.join(", ")
+            ))
+            .unwrap();
+            let points = spec.enumerate().unwrap();
+            assert_eq!(points.len(), 1 << crate::sweep::AXIS_NAMES.len());
+            let want = AnalyticModel::new(base);
+            for point in &points {
+                let got = AnalyticModel::new(point.machine.clone());
+                for rates in &rows {
+                    assert_eq!(
+                        got.features(rates).map(f64::to_bits),
+                        want.features(rates).map(f64::to_bits),
+                        "{name}, configuration {}, rates {rates:?}",
+                        point.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

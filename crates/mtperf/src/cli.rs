@@ -128,9 +128,11 @@ COMMANDS
              Design-space exploration: enumerate the spec's machine grid
              (cache size/ways, TLB entries, predictor budget), transplant
              every measured section onto each configuration via documented
-             miss-rate power laws, score the whole grid through the
-             compiled parallel engine, and report per-config predicted CPI
-             with the counters the tree blames (schema mtperf-sweep-v1).
+             miss-rate power laws, price each distinct transplanted row
+             once through the compiled parallel engine (configurations the
+             model cannot tell apart share it), and report per-config
+             predicted CPI with the counters the tree blames (schema
+             mtperf-sweep-v1).
   serve      --model <model.json> [--socket <path>] [--tcp <addr>] [--stdio]
              [--registry <manifest.json>] [--workers N] [--queue-depth N]
              [--tenant-quota N] [--cache-size N] [--deadline-ms N]
@@ -563,6 +565,32 @@ pub fn cmd_analyze(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
     Ok(())
 }
 
+/// Converts `err` from pricing `samples` for `command`. A
+/// [`MtreeError::NonFiniteValue`] becomes a data error that names the
+/// section by row, workload and index, and the column whose transplanted
+/// value is not finite when `attr` is set (only a sweep transplants).
+fn section_error(
+    command: &str,
+    samples: &SampleSet,
+    attr_names: &[String],
+    err: MtreeError,
+) -> CliError {
+    match err {
+        MtreeError::NonFiniteValue { row, attr } => {
+            let section = &samples.samples()[row];
+            let what = match attr {
+                Some(a) => format!("transplanted {} is not finite", attr_names[a]),
+                None => "predicted CPI is not finite".to_string(),
+            };
+            CliError::Data(format!(
+                "{command}: section {row} ({} #{}): {what}",
+                section.workload, section.section_index
+            ))
+        }
+        other => other.into(),
+    }
+}
+
 /// One emitted prediction row of `mtperf predict`.
 #[derive(Serialize)]
 struct Prediction {
@@ -578,6 +606,13 @@ struct Prediction {
 /// section through the compiled tree ([`ModelTree::compile`]) at the global
 /// thread budget, and emits one record per section (measured and predicted
 /// CPI) as CSV (default) or JSON, to `--out` or stdout.
+///
+/// # Errors
+///
+/// [`CliError::Data`] for data the ingest policy rejects, a model/data
+/// width mismatch, or a section whose prediction, after any residual
+/// reconstruction, is not finite (the message names the section, as
+/// `mtperf sweep` does); [`CliError::Io`] for file errors.
 pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let tree = ModelTree::load(args.require("model")?)?;
     let samples = load_samples(args.require("data")?, ingest_policy(args)?)?;
@@ -603,6 +638,12 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
         for (r, p) in predicted.iter_mut().enumerate() {
             *p += matrix.row(r)[baseline];
         }
+    }
+    // Ingest only checks that a rate is finite, so a huge one can still
+    // overflow the model's arithmetic.
+    if let Some(row) = predicted.iter().position(|p| !p.is_finite()) {
+        let err = MtreeError::NonFiniteValue { row, attr: None };
+        return Err(section_error("predict", &samples, tree.attr_names(), err));
     }
     let records: Vec<Prediction> = samples
         .iter()
@@ -659,7 +700,10 @@ pub fn cmd_predict(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
 /// the best configurations with per-config counter blame. Configurations
 /// the model cannot tell apart share one class, and a section's zero rates
 /// drop out, so each distinct transplanted row goes through the compiled
-/// parallel engine once ([`sweep::run`]). `--out` writes the full
+/// parallel engine once ([`sweep::run`]). The rule is the same for plain,
+/// analytic-feature and residual models: an analytic column reads every
+/// counter's scale factor, and the base machine's analytic model prices it
+/// for every configuration. `--out` writes the full
 /// `mtperf-sweep-v1` JSON report (atomically); `--format json` prints it to
 /// stdout instead of the table.
 ///
@@ -697,20 +741,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliErr
         args.flag("residual"),
         parallel::global(),
     )
-    .map_err(|e| match e {
-        MtreeError::NonFiniteValue { row, attr } => {
-            let section = &samples.samples()[row];
-            let what = match attr {
-                Some(a) => format!("transplanted {} is not finite", tree.attr_names()[a]),
-                None => "predicted CPI is not finite".to_string(),
-            };
-            CliError::Data(format!(
-                "sweep: section {row} ({} #{}): {what}",
-                section.workload, section.section_index
-            ))
-        }
-        other => other.into(),
-    })?;
+    .map_err(|e| section_error("sweep", &samples, tree.attr_names(), e))?;
     if let Some(path) = args.options.get("out") {
         let mut json =
             serde_json::to_string_pretty(&report).map_err(|e| CliError::Other(e.to_string()))?;

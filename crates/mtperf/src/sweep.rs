@@ -14,11 +14,12 @@
 //! It prices each distinct transplanted row once. Configurations whose
 //! scale factors agree bit for bit on every column the tree reads form one
 //! class ([`crate::analytic::factor_columns`] says which factors a column
-//! reads); a model with analytic columns gets one class per configuration.
-//! Within a section, a factor whose rate is zero drops out, because it
-//! moves nothing. Each section's distinct rows go through the compiled
-//! tree's parallel batch engine, and every class is summarised and blamed
-//! once; its configurations share the result.
+//! reads; an analytic column reads them all). Within a section, a factor
+//! whose rate is zero drops out, because it moves nothing. Each section's
+//! distinct rows go through the compiled tree's parallel batch engine, and
+//! every class is summarised and blamed once; its configurations share the
+//! result. One analytic model of the base machine prices the analytic
+//! columns of every row: no sweep axis moves a parameter it reads.
 //!
 //! Everything here is deterministic: enumeration order is fixed, grouping
 //! and chunking never change per-row arithmetic, every class aggregates its
@@ -556,18 +557,15 @@ fn read_columns(tree: &ModelTree) -> Vec<bool> {
 /// The configurations of a sweep, grouped into classes the model cannot
 /// tell apart.
 ///
-/// A counters-only model reads the counter columns of [`read_columns`],
-/// and each of those reads the scale factors of [`factor_columns`]. Two
+/// A price reads the columns `read` marks, and each of those reads the
+/// scale factors of [`factor_columns`]: a counter column its own (and
+/// `BrPred` also `BrMisPr`'s), an analytic column every counter's. Two
 /// configurations whose factors agree bit for bit on those key columns
-/// therefore price every section identically. The analytic columns read
-/// the machine itself, so a model trained with them gets one class per
-/// configuration and no key columns.
+/// therefore price every section identically.
 struct Classes {
     /// Class of every configuration; classes are numbered in order of
     /// first occurrence.
     of: Vec<u32>,
-    /// First configuration of every class, which stands for the class.
-    first: Vec<usize>,
     /// Scale factors of every class's first configuration.
     factors: Vec<[f64; N_EVENTS]>,
     /// The factor columns whose bits tell the classes apart.
@@ -575,32 +573,22 @@ struct Classes {
 }
 
 impl Classes {
-    fn new(base: &MachineConfig, points: &[SweepPoint], read: &[bool], analytic: bool) -> Self {
-        let key_cols = if analytic {
-            Vec::new()
-        } else {
-            (0..N_EVENTS)
-                .filter(|&k| (0..N_EVENTS).any(|j| read[j] && factor_columns(j).any(|f| f == k)))
-                .collect()
-        };
+    fn new(base: &MachineConfig, points: &[SweepPoint], read: &[bool]) -> Self {
+        let key_cols = (0..N_EVENTS)
+            .filter(|&k| (0..read.len()).any(|j| read[j] && factor_columns(j).any(|f| f == k)))
+            .collect();
         let mut classes = Classes {
             of: Vec::with_capacity(points.len()),
-            first: Vec::new(),
             factors: Vec::new(),
             key_cols,
         };
         let mut index: HashMap<Vec<u64>, u32> = HashMap::new();
-        for (i, point) in points.iter().enumerate() {
+        for point in points {
             let factors = scale_factors(base, &point.machine);
-            let next = classes.first.len() as u32;
-            let class = if analytic {
-                next
-            } else {
-                let key = classes.key_cols.iter().map(|&k| factors[k].to_bits());
-                *index.entry(key.collect()).or_insert(next)
-            };
+            let next = classes.factors.len() as u32;
+            let key = classes.key_cols.iter().map(|&k| factors[k].to_bits());
+            let class = *index.entry(key.collect()).or_insert(next);
             if class == next {
-                classes.first.push(i);
                 classes.factors.push(factors);
             }
             classes.of.push(class);
@@ -609,7 +597,7 @@ impl Classes {
     }
 
     fn len(&self) -> usize {
-        self.first.len()
+        self.factors.len()
     }
 
     /// The key columns a section can move: bit `i` is set when the rate in
@@ -683,6 +671,8 @@ fn push_row(
 struct Table<'a> {
     compiled: &'a CompiledTree,
     par: Parallelism,
+    /// Prices the analytic columns of a model trained with them.
+    analytic: Option<&'a AnalyticModel>,
     /// The `AnCpi` column a residual sweep adds to every prediction.
     ancpi: Option<usize>,
     /// Every section's measured rates.
@@ -708,12 +698,7 @@ struct Table<'a> {
 impl Table<'_> {
     /// Adds the next section to the window, pricing the window first when
     /// the section's distinct rows would overflow the block.
-    fn add(
-        &mut self,
-        classes: &Classes,
-        chunk: &Range<usize>,
-        models: &[AnalyticModel],
-    ) -> Result<(), MtreeError> {
+    fn add(&mut self, classes: &Classes, chunk: &Range<usize>) -> Result<(), MtreeError> {
         let section = self.window_start + self.window.len();
         let live = classes.live(self.rows[section]);
         let collapse = match self.by_mask.get(&live) {
@@ -726,7 +711,7 @@ impl Table<'_> {
         };
         let n_rows = self.collapses[collapse].reps.len();
         if self.window_rows + n_rows > TARGET_BATCH_ROWS {
-            self.price_window(&classes.factors[chunk.clone()], models)?;
+            self.price_window(&classes.factors[chunk.clone()])?;
         }
         self.window.push(collapse);
         self.window_rows += n_rows;
@@ -734,37 +719,23 @@ impl Table<'_> {
     }
 
     /// Transplants the window's distinct rows, predicts them, and gives
-    /// every class the prediction of the row it shares. `factors` and
-    /// `models` are the chunk's, `models` empty for a counters-only model.
-    fn price_window(
-        &mut self,
-        factors: &[[f64; N_EVENTS]],
-        models: &[AnalyticModel],
-    ) -> Result<(), MtreeError> {
+    /// every class the prediction of the row it shares. `factors` are the
+    /// chunk's.
+    fn price_window(&mut self, factors: &[[f64; N_EVENTS]]) -> Result<(), MtreeError> {
         let (cols, sections) = (self.compiled.n_attrs(), self.rows.len());
         let window = self.window_start..self.window_start + self.window.len();
         self.block.clear();
         let mut n_rows = 0;
-        // With no row shared, the block holds the window's table entries
-        // class by class, in section order.
-        let shared = self.window_rows < factors.len() * window.len();
-        // Class-major, so one class's factors and model stay in cache over
-        // the window. A class that is not the first on its row takes the
-        // block row its first class was given.
+        // Class-major, so one class's factors stay in cache over the
+        // window. A class that is not the first on its row takes the block
+        // row its first class was given.
         for (class, factors) in factors.iter().enumerate() {
             for (section, &collapse) in window.clone().zip(&self.window) {
                 let collapse = &self.collapses[collapse];
                 let first = collapse.reps[collapse.of[class] as usize] as usize;
                 if first == class {
-                    push_row(
-                        &mut self.block,
-                        self.rows[section],
-                        factors,
-                        models.get(class),
-                    );
-                    if shared {
-                        self.cpi[class * sections + section] = n_rows as f64;
-                    }
+                    push_row(&mut self.block, self.rows[section], factors, self.analytic);
+                    self.cpi[class * sections + section] = n_rows as f64;
                     n_rows += 1;
                 } else {
                     self.cpi[class * sections + section] = self.cpi[first * sections + section];
@@ -780,13 +751,8 @@ impl Table<'_> {
             }
         }
         for class in 0..factors.len() {
-            let cpi = &mut self.cpi[class * sections..][window.clone()];
-            if shared {
-                for p in cpi {
-                    *p = preds[*p as usize];
-                }
-            } else {
-                cpi.copy_from_slice(&preds[class * window.len()..][..window.len()]);
+            for p in &mut self.cpi[class * sections..][window.clone()] {
+                *p = preds[*p as usize];
             }
         }
         self.rows_priced += n_rows;
@@ -859,11 +825,13 @@ fn non_finite(section: usize, row: &[f64], read: &[bool]) -> MtreeError {
 ///
 /// Configurations the model cannot tell apart are priced once: they are
 /// grouped into classes by the bits of the scale factors the tree reads
-/// (one class per configuration for a model with analytic columns), and
-/// within a section every factor whose rate is zero drops out. Each
-/// section's distinct rows go through the batch engine; the mean, extremes,
-/// median and blame then run once per class, on the values and in the
-/// order a row-by-row pricing would use, so the report is the same bytes.
+/// (an analytic column, and the `AnCpi` a residual sweep adds, read every
+/// factor), and within a section every factor whose rate is zero drops
+/// out. Each section's distinct rows go through the batch engine, with
+/// their analytic columns priced by one model of the base machine; the
+/// mean, extremes, median and blame then run once per class, on the values
+/// and in the order a row-by-row pricing would use, so the report is the
+/// same bytes.
 ///
 /// `residual` selects residual reconstruction (`tree(row) + AnCpi`); it
 /// requires an analytic-augmented model. A model trained on the plain 20
@@ -915,7 +883,13 @@ pub fn run(
     let n_sections = rows.len();
     let read = read_columns(tree);
     let ancpi = residual.then_some(N_EVENTS + N_ANALYTIC - 1);
-    let classes = Classes::new(&base, &points, &read, analytic);
+    // A residual price also adds `AnCpi`, whether or not the tree reads it.
+    let mut price_read = read.clone();
+    if let Some(ancpi) = ancpi {
+        price_read[ancpi] = true;
+    }
+    let classes = Classes::new(&base, &points, &price_read);
+    let model = analytic.then(|| AnalyticModel::new(base));
 
     // Classes are priced in chunks so the table holds at most TABLE_ROWS
     // predictions, and one section's distinct rows always fit one block.
@@ -923,6 +897,7 @@ pub fn run(
     let mut table = Table {
         compiled: &compiled,
         par,
+        analytic: model.as_ref(),
         ancpi,
         rows: &rows,
         collapses: Vec::new(),
@@ -938,22 +913,13 @@ pub fn run(
     let (mut order, mut median_row) = (Vec::with_capacity(n_sections), Vec::new());
     for start in (0..classes.len()).step_by(chunk_len) {
         let chunk = start..(start + chunk_len).min(classes.len());
-        let models: Vec<AnalyticModel> = if analytic {
-            let first = &classes.first[chunk.clone()];
-            first
-                .iter()
-                .map(|&c| AnalyticModel::new(points[c].machine.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         table.collapses.clear();
         table.by_mask.clear();
         table.window_start = 0;
         for _ in 0..n_sections {
-            table.add(&classes, &chunk, &models)?;
+            table.add(&classes, &chunk)?;
         }
-        table.price_window(&classes.factors[chunk.clone()], &models)?;
+        table.price_window(&classes.factors[chunk.clone()])?;
 
         for (local, class) in chunk.enumerate() {
             let cpi = &table.cpi[local * n_sections..(local + 1) * n_sections];
@@ -966,7 +932,7 @@ pub fn run(
                 if !sum.is_finite() {
                     median_row.clear();
                     let (rates, factors) = (rows[section], &classes.factors[class]);
-                    push_row(&mut median_row, rates, factors, models.get(local));
+                    push_row(&mut median_row, rates, factors, model.as_ref());
                     return Err(non_finite(section, &median_row, &read));
                 }
             }
@@ -984,7 +950,7 @@ pub fn run(
                 &mut median_row,
                 rows[median],
                 &classes.factors[class],
-                models.get(local),
+                model.as_ref(),
             );
             let (blame, zero_top_blame_cpi) = blame(tree, &median_row, spec.top_blame, ancpi)?;
             if blame.iter().any(|b| !b.amount.is_finite())
@@ -1241,11 +1207,24 @@ mod tests {
         let base = spec.base().unwrap();
         let points = spec.enumerate().unwrap();
         // The L1I axis moves only a column the tree never reads.
-        let plain = Classes::new(&base, &points, &read, false);
+        let plain = Classes::new(&base, &points, &read);
         assert_eq!((points.len(), plain.len()), (6, 2));
         assert_eq!(plain.of, [0, 1, 0, 1, 0, 1]);
-        // Analytic columns read the machine: one class per configuration.
-        assert_eq!(Classes::new(&base, &points, &read, true).len(), 6);
+        // A model with analytic columns that reads none of them keys like
+        // the plain one.
+        let mut wide = read.clone();
+        wide.resize(N_EVENTS + N_ANALYTIC, false);
+        let unread = Classes::new(&base, &points, &wide);
+        assert_eq!((&unread.of, &unread.key_cols), (&plain.of, &plain.key_cols));
+        // An analytic column, or the `AnCpi` a residual sweep adds, reads
+        // every counter's factor, the L1I's too.
+        for col in [N_EVENTS, N_EVENTS + N_ANALYTIC - 1] {
+            let mut analytic = wide.clone();
+            analytic[col] = true;
+            let classes = Classes::new(&base, &points, &analytic);
+            assert_eq!(classes.len(), 6, "column {col}");
+            assert_eq!(classes.key_cols, (0..N_EVENTS).collect::<Vec<_>>());
+        }
 
         // A section with no L2 misses cannot tell the L2 sizes apart.
         let mut rates = [0.0; N_EVENTS];

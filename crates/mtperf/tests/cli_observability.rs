@@ -322,30 +322,22 @@ fn tracing_leaves_evaluation_metrics_bit_identical() {
 #[test]
 fn tracing_leaves_the_sweep_report_unchanged_and_counts_its_classes() {
     let fx = Fixture::new("sweep-identity");
-    let trace_path = fx.dir.join("sweep-trace.jsonl").display().to_string();
     let spec = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/sweep_smoke.json"
     );
-    let sweep = [
-        "sweep", "--spec", spec, "--model", &fx.model, "--data", &fx.csv,
-    ];
+    let analytic = fx.dir.join("analytic.json").display().to_string();
+    let train = run(&[
+        "train",
+        "--data",
+        &fx.csv,
+        "--features",
+        "analytic",
+        "--out",
+        &analytic,
+    ]);
+    assert!(train.status.success(), "{}", stderr(&train));
 
-    let plain = run(&[&sweep[..], &["--format", "json"]].concat());
-    assert!(plain.status.success(), "{}", stderr(&plain));
-    let traced = run(&[
-        &sweep[..],
-        &["--format", "json", "--trace", "--trace-out", &trace_path],
-    ]
-    .concat());
-    assert!(traced.status.success(), "{}", stderr(&traced));
-    assert_eq!(
-        stdout(&plain),
-        stdout(&traced),
-        "tracing changed the sweep report"
-    );
-
-    let report = stdout(&plain);
     let field = |text: &str, key: &str| -> u64 {
         let at = text
             .find(key)
@@ -358,31 +350,62 @@ fn tracing_leaves_the_sweep_report_unchanged_and_counts_its_classes() {
             .collect();
         digits.parse().expect("a count")
     };
-    let (configs, sections) = (
-        field(&report, "\"n_configs\""),
-        field(&report, "\"n_sections\""),
-    );
-    let trace = std::fs::read_to_string(&trace_path).expect("trace file");
-    assert!(
-        trace.contains("\"name\":\"sweep\""),
-        "trace missing the sweep span"
-    );
-    // Each counter is booked once per run: one event, with a value the
-    // grid bounds.
-    for (counter, most) in [
-        ("sweep.config_classes", configs),
-        ("sweep.rows_priced", configs * sections),
+    // The plain model, an analytic-feature model, and that model's
+    // residual reconstruction all share rows across configurations.
+    for (kind, model, extra) in [
+        ("plain", fx.model.as_str(), None),
+        ("analytic", analytic.as_str(), None),
+        ("residual", analytic.as_str(), Some("--residual")),
     ] {
-        let events: Vec<&str> = trace
-            .lines()
-            .filter(|l| l.contains("\"ev\":\"counter\"") && l.contains(&format!("\"{counter}\"")))
-            .collect();
-        assert_eq!(events.len(), 1, "{counter}: {events:?}");
-        let value = field(events[0], "\"value\"");
-        assert!(
-            (1..=most).contains(&value),
-            "{counter} = {value}, most {most}"
+        let trace_path = fx
+            .dir
+            .join(format!("sweep-trace-{kind}.jsonl"))
+            .display()
+            .to_string();
+        let mut sweep = vec![
+            "sweep", "--spec", spec, "--model", model, "--data", &fx.csv, "--format", "json",
+        ];
+        sweep.extend(extra);
+        let untraced = run(&sweep);
+        assert!(untraced.status.success(), "{kind}: {}", stderr(&untraced));
+        let traced = run(&[&sweep[..], &["--trace", "--trace-out", &trace_path]].concat());
+        assert!(traced.status.success(), "{kind}: {}", stderr(&traced));
+        assert_eq!(
+            stdout(&untraced),
+            stdout(&traced),
+            "tracing changed the {kind} sweep report"
         );
+
+        let report = stdout(&untraced);
+        let (configs, sections) = (
+            field(&report, "\"n_configs\""),
+            field(&report, "\"n_sections\""),
+        );
+        let trace = std::fs::read_to_string(&trace_path).expect("trace file");
+        assert!(
+            trace.contains("\"name\":\"sweep\""),
+            "{kind}: trace missing the sweep span"
+        );
+        // Each counter is booked once per run: one event, with a value the
+        // grid bounds. Rows are shared, so fewer than configs × sections
+        // are priced.
+        for (counter, most) in [
+            ("sweep.config_classes", configs),
+            ("sweep.rows_priced", configs * sections - 1),
+        ] {
+            let events: Vec<&str> = trace
+                .lines()
+                .filter(|l| {
+                    l.contains("\"ev\":\"counter\"") && l.contains(&format!("\"{counter}\""))
+                })
+                .collect();
+            assert_eq!(events.len(), 1, "{kind}, {counter}: {events:?}");
+            let value = field(events[0], "\"value\"");
+            assert!(
+                (1..=most).contains(&value),
+                "{kind}: {counter} = {value}, most {most}"
+            );
+        }
     }
 }
 

@@ -432,11 +432,49 @@ fn large_sweeps_match_the_oracle_across_blocks_and_chunks() {
         samples.push(SectionSample::new("w", i, cpi(&rates, noise, true), rates));
     }
     // 1,152 one-configuration classes × 1,000 sections exceed the 2^20-row
-    // table, and 1.15M rows exceed many 65,536-row blocks.
+    // table, and the rows that zero rates leave distinct still fill
+    // several 65,536-row blocks.
     assert!(spec.enumerate().unwrap().len() * samples.len() > 1 << 20);
     for kind in ["plain", "analytic"] {
         let tree = train(&samples, kind);
         check(&spec, &tree, &samples, kind, Parallelism::Fixed(2));
+    }
+}
+
+/// A residual sweep adds `AnCpi`, which reads every counter's factor, to
+/// each prediction. A residual tree that reads no analytic column, or no
+/// column at all, must therefore still tell apart the configurations that
+/// `AnCpi` prices differently.
+#[test]
+fn residual_sweeps_key_on_ancpi_when_the_tree_reads_no_analytic_column() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("residual, counters only");
+    let mut samples = SampleSet::new();
+    for i in 0..60 {
+        let (rates, _, noise) = section().generate(&mut rng);
+        samples.push(SectionSample::new("w", i, cpi(&rates, noise, true), rates));
+    }
+    let data = dataset_with_analytic(&samples, &MachineConfig::core2_duo()).unwrap();
+    let data = residual_dataset(&data, ancpi_index(&data).unwrap()).unwrap();
+    let spec: SweepSpec = serde_json::from_str(
+        r#"{"axes": {"l1i_kb": [16, 32], "l2_kb": [512, 4096], "history_bits": [8, 12]}}"#,
+    )
+    .unwrap();
+    // Constant analytic columns leave the tree nothing to split on there,
+    // and a node model reads only its subtree's split columns.
+    let counters_only: Vec<Vec<f64>> = (0..data.n_rows())
+        .map(|i| {
+            (0..data.n_attrs())
+                .map(|j| if j < N_EVENTS { data.value(i, j) } else { 0.0 })
+                .collect()
+        })
+        .collect();
+    let flat =
+        Dataset::from_rows(data.attr_names().to_vec(), &counters_only, data.targets()).unwrap();
+    for min_instances in [6, 1000] {
+        let params = M5Params::default().with_min_instances(min_instances);
+        let tree = ModelTree::fit(&flat, &params).unwrap();
+        assert!((N_EVENTS..N_EVENTS + N_ANALYTIC).all(|a| !reads(&tree, a)));
+        check(&spec, &tree, &samples, "residual", Parallelism::Off);
     }
 }
 

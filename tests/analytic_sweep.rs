@@ -282,10 +282,11 @@ fn width_mismatch_is_a_data_error_not_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
-    let dir = scratch("overflow");
-    let csv = simulate_csv(&dir);
+/// A model trained on the simulated suite, and a copy of the suite whose
+/// section 17 (`401.bzip2-like` #7) has an `L1IM` rate of 1.7e308, which
+/// strict ingest accepts because it is finite.
+fn huge_l1im_fixture(dir: &Path) -> (PathBuf, PathBuf) {
+    let csv = simulate_csv(dir);
     let model = dir.join("model.json");
     run_cli(&[
         "train",
@@ -295,8 +296,6 @@ fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
         model.to_str().unwrap(),
     ])
     .unwrap();
-    // Strict ingest accepts a huge but finite L1IM rate; an 8 KiB L1I
-    // doubles it past f64::MAX, which once panicked the sweep.
     let text = std::fs::read_to_string(&csv).unwrap();
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     let column = lines[0].split(',').position(|h| h == "L1IM").unwrap();
@@ -305,6 +304,15 @@ fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
     lines[18] = fields.join(",");
     let huge = dir.join("huge.csv");
     std::fs::write(&huge, lines.join("\n") + "\n").unwrap();
+    (model, huge)
+}
+
+#[test]
+fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
+    let dir = scratch("overflow");
+    // An 8 KiB L1I doubles the huge L1IM rate past f64::MAX, which once
+    // panicked the sweep.
+    let (model, huge) = huge_l1im_fixture(&dir);
     let spec = dir.join("spec.json");
     std::fs::write(&spec, r#"{"axes": {"l1i_kb": [8, 32]}}"#).unwrap();
 
@@ -322,6 +330,29 @@ fn an_overflowing_sweep_value_is_a_data_error_naming_section_and_column() {
     let message = err.to_string();
     assert!(
         message.contains("section 17") && message.contains("L1IM"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_overflowing_prediction_is_a_data_error_naming_the_section() {
+    let dir = scratch("overflow-predict");
+    // The huge rate overflows the tree's own arithmetic: `predict` once
+    // printed `NaN` for the section and exited 0.
+    let (model, huge) = huge_l1im_fixture(&dir);
+    let err = run_cli(&[
+        "predict",
+        "--model",
+        model.to_str().unwrap(),
+        "--data",
+        huge.to_str().unwrap(),
+    ])
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 65, "{err}");
+    let message = err.to_string();
+    assert!(
+        message.contains("predict: section 17 (401.bzip2-like #7)"),
         "{message}"
     );
     let _ = std::fs::remove_dir_all(&dir);
