@@ -188,11 +188,6 @@ impl<T> FairQueue<T> {
     pub fn quota(&self) -> usize {
         self.quota
     }
-
-    /// Whether `close` was called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("fair queue lock poisoned").closed
-    }
 }
 
 #[cfg(test)]

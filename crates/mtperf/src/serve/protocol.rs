@@ -75,10 +75,20 @@
 //! reference: the DST audit reads replies through `ReplyHeader`, mtbench
 //! decodes through `Request`, and a refused line is answered with the
 //! reference's error message.
+//!
+//! Each request byte is read about once. [`read_bounded_line`] frames a
+//! line with std's word-at-a-time newline search. The pass that checks a
+//! number token also folds its digits into a `u64` significand and a
+//! decimal exponent; when the significand is at most 2^53 and the
+//! exponent within ±22, one IEEE multiply or divide by an exact power of
+//! ten gives the value, correctly rounded and so bit-identical to
+//! `str::parse::<f64>`. Only the other tokens (more significant digits,
+//! such as `0.25570000000000004`, or a larger exponent) are handed to
+//! `parse::<f64>`, on the slice already scanned.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 use serde::{Deserialize, Serialize};
 
@@ -635,6 +645,47 @@ fn scan_request(line: &str, convert: bool) -> Result<(RequestHeader, Option<Rows
     Ok((header, rows))
 }
 
+/// A number token as the scanner read it: the text, and its digits folded
+/// into `±significand × 10^exponent` in the same pass.
+struct Number<'a> {
+    token: &'a str,
+    /// No `.`, `e` or `E`.
+    integral: bool,
+    negative: bool,
+    /// The first 19 significant digits (those after any leading zeros).
+    significand: u64,
+    /// How many significant digits the token has.
+    significant: usize,
+    /// The `e`/`E` exponent less the fraction digits.
+    exponent: i64,
+}
+
+/// The powers of ten an `f64` holds exactly: `5^22 < 2^53`.
+const EXACT_POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+impl Number<'_> {
+    /// The value when one IEEE multiply or divide gives it: every digit
+    /// folded, a significand of at most 2^53 and an exponent within ±22.
+    /// Both operands are then exact, so the one rounding is the correct
+    /// rounding that `parse::<f64>` also makes, bit for bit.
+    #[inline(always)]
+    fn exact(&self) -> Option<f64> {
+        if self.significant > 19 || self.significand > 1 << 53 {
+            return None;
+        }
+        let significand = self.significand as f64;
+        let magnitude = match self.exponent {
+            0..=22 => significand * EXACT_POWERS_OF_TEN[self.exponent as usize],
+            -22..=-1 => significand / EXACT_POWERS_OF_TEN[self.exponent.unsigned_abs() as usize],
+            _ => return None,
+        };
+        Some(if self.negative { -magnitude } else { magnitude })
+    }
+}
+
 /// A byte cursor over one line, with the grammar of the vendored
 /// `serde_json` reader (`vendor/serde_json/src/read.rs`).
 struct Scanner<'a> {
@@ -659,22 +710,26 @@ impl<'a> Scanner<'a> {
         Err(DecodeError { what, at: self.pos })
     }
 
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline(always)]
     fn eat(&mut self, byte: u8) -> bool {
         let hit = self.peek() == Some(byte);
         self.pos += usize::from(hit);
         hit
     }
 
+    #[inline(always)]
     fn expect(&mut self, byte: u8, what: &'static str) -> Result<(), DecodeError> {
         if self.eat(byte) {
             Ok(())
@@ -820,9 +875,13 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn digits(&mut self) -> usize {
+    /// Consumes a run of digits, handing each one's value to `fold`, and
+    /// returns how many there were.
+    #[inline(always)]
+    fn digits(&mut self, mut fold: impl FnMut(u8)) -> usize {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        while let Some(digit @ 0..=9) = self.peek().map(|b| b.wrapping_sub(b'0')) {
+            fold(digit);
             self.pos += 1;
         }
         self.pos - start
@@ -830,33 +889,61 @@ impl<'a> Scanner<'a> {
 
     /// One number token, `-?[0-9]*(\.[0-9]*)?([eE][+-]?[0-9]*)?`, accepted
     /// exactly when `str::parse::<f64>` accepts it: at least one mantissa
-    /// digit, and a digit after an exponent marker. Returns the token and
-    /// whether it is integral (no `.`, `e` or `E`).
-    fn number(&mut self) -> Result<(&'a str, bool), DecodeError> {
+    /// digit, and a digit after an exponent marker. The same pass folds
+    /// the token's digits into a [`Number`].
+    #[inline(always)]
+    fn number(&mut self) -> Result<Number<'a>, DecodeError> {
         let start = self.pos;
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return self.fail("expected a number");
         }
-        self.eat(b'-');
-        let mut mantissa = self.digits();
+        let negative = self.eat(b'-');
+        let (mut significand, mut significant) = (0u64, 0usize);
+        let mut fold = |digit: u8| {
+            if significant < 19 {
+                significand = significand * 10 + u64::from(digit);
+            }
+            // Leading zeros leave the significand 0 and are not counted.
+            significant += usize::from(significand != 0);
+        };
+        let mut mantissa = self.digits(&mut fold);
         let mut integral = true;
+        let mut fraction = 0;
         if self.eat(b'.') {
             integral = false;
-            mantissa += self.digits();
+            fraction = self.digits(&mut fold);
+            mantissa += fraction;
         }
+        let mut exponent = 0i64;
         let mut exponent_ok = true;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
             self.pos += 1;
+            let negative_exponent = self.peek() == Some(b'-');
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            exponent_ok = self.digits() > 0;
+            // Saturates far beyond the ±22 of the exact path, so a huge
+            // exponent never lands in it.
+            exponent_ok = self.digits(|digit| {
+                exponent = exponent.saturating_mul(10).saturating_add(i64::from(digit));
+            }) > 0;
+            if negative_exponent {
+                exponent = -exponent;
+            }
         }
         if mantissa == 0 || !exponent_ok {
             return self.fail("invalid number");
         }
-        Ok((&self.text[start..self.pos], integral))
+        Ok(Number {
+            token: &self.text[start..self.pos],
+            integral,
+            negative,
+            significand,
+            significant,
+            // A digit count is at most the line's length, so `as` is exact.
+            exponent: exponent.saturating_sub(fraction as i64),
+        })
     }
 
     /// A number as `f64` gets it from the reference. The reference types
@@ -864,12 +951,17 @@ impl<'a> Scanner<'a> {
     /// rounds exactly as `parse::<f64>` does but loses the sign of zero:
     /// `-0` reads `+0.0` (adding `+0.0` does that), while `-0.0` reads
     /// `-0.0`.
+    #[inline(always)]
     fn number_value(&mut self) -> Result<f64, DecodeError> {
-        let (token, integral) = self.number()?;
-        let x = token
-            .parse::<f64>()
-            .or_else(|_| self.fail("invalid number"))?;
-        Ok(if integral { x + 0.0 } else { x })
+        let number = self.number()?;
+        let x = match number.exact() {
+            Some(x) => x,
+            None => number
+                .token
+                .parse::<f64>()
+                .or_else(|_| self.fail("invalid number"))?,
+        };
+        Ok(if number.integral { x + 0.0 } else { x })
     }
 
     fn opt_string(&mut self) -> Result<Option<String>, DecodeError> {
@@ -902,7 +994,12 @@ impl<'a> Scanner<'a> {
             return Ok(None);
         }
         let start = self.pos;
-        if let Ok((token, true)) = self.number() {
+        if let Ok(Number {
+            token,
+            integral: true,
+            ..
+        }) = self.number()
+        {
             if let Ok(n) = token.parse::<u64>() {
                 return Ok(Some(n));
             }
@@ -1032,50 +1129,38 @@ pub enum LineRead {
 
 /// Reads one `\n`-terminated line with a hard length bound, retrying
 /// transient interruptions. Unlike [`BufRead::read_line`] this cannot be
-/// driven into unbounded buffering by a newline-free stream: past
-/// [`MAX_LINE_BYTES`] the overflow is drained and reported as
-/// [`LineRead::TooLong`].
+/// driven into unbounded buffering by a newline-free stream: a line of
+/// more than [`MAX_LINE_BYTES`] bytes (its newline not counted) is drained
+/// to the next newline or the end of the stream, unbuffered, and reported
+/// as [`LineRead::TooLong`]. A last line without a newline still counts.
+///
+/// The newline is found by [`BufRead::read_until`] on a reader limited to
+/// `MAX_LINE_BYTES + 1` bytes, so each buffered chunk is searched once
+/// with std's word-at-a-time byte search and copied once.
 ///
 /// # Errors
 ///
 /// Propagates non-transient I/O errors from the underlying reader.
 pub fn read_bounded_line<R: BufRead>(reader: &mut R) -> io::Result<LineRead> {
     let mut buf: Vec<u8> = Vec::new();
-    let mut overflow = false;
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            // EOF. A trailing unterminated line still counts as a line.
-            return Ok(match (overflow, buf.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                (false, false) => line_of(buf),
-            });
+    reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    match buf.last() {
+        None => return Ok(LineRead::Eof),
+        Some(b'\n') => {
+            buf.pop();
         }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |i| i + 1);
-        if !overflow {
-            let payload = &chunk[..newline.unwrap_or(take)];
-            if buf.len() + payload.len() > MAX_LINE_BYTES {
-                overflow = true;
-                buf.clear();
-            } else {
-                buf.extend_from_slice(payload);
-            }
+        // The bound filled before a newline came.
+        Some(_) if buf.len() > MAX_LINE_BYTES => {
+            drop(buf);
+            reader.skip_until(b'\n')?;
+            return Ok(LineRead::TooLong);
         }
-        reader.consume(take);
-        if newline.is_some() {
-            return Ok(if overflow {
-                LineRead::TooLong
-            } else {
-                line_of(buf)
-            });
-        }
+        Some(_) => {}
     }
+    Ok(line_of(buf))
 }
 
 /// The framed bytes as a line, moved rather than copied when they are
@@ -1207,6 +1292,67 @@ mod tests {
             LineRead::Line("ok".into())
         );
         assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::Eof);
+    }
+
+    #[test]
+    fn bounded_reader_takes_exactly_max_line_bytes() {
+        let line = "z".repeat(MAX_LINE_BYTES);
+        for tail in ["\n", ""] {
+            let data = format!("{line}{tail}");
+            let mut r = BufReader::new(data.as_bytes());
+            assert_eq!(
+                read_bounded_line(&mut r).unwrap(),
+                LineRead::Line(line.clone())
+            );
+            assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::Eof);
+        }
+        // One byte more is too long, newline-terminated or at EOF.
+        for tail in ["\nok\n", ""] {
+            let data = format!("{line}z{tail}");
+            let mut r = BufReader::new(data.as_bytes());
+            assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::TooLong);
+            if !tail.is_empty() {
+                assert_eq!(
+                    read_bounded_line(&mut r).unwrap(),
+                    LineRead::Line("ok".into())
+                );
+            }
+            assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::Eof);
+        }
+    }
+
+    #[test]
+    fn line_after_too_long_survives_faults_during_the_drain() {
+        use mtperf_detsim::{Fault, SimStream};
+        for extra in 1..8 {
+            let stream = SimStream::new();
+            // The buffer holds the whole bound plus one byte, so the first
+            // read fills the bounded part and every later read, with its
+            // faults, lands in the drain or the next line.
+            stream.script_read_fault(Fault::ShortRead(usize::MAX));
+            for fault in [
+                Fault::InterruptRead,
+                Fault::ShortRead(extra),
+                Fault::InterruptRead,
+                Fault::ShortRead(1),
+                Fault::ShortRead(3),
+                Fault::InterruptRead,
+                Fault::ShortRead(2),
+            ] {
+                stream.script_read_fault(fault);
+            }
+            stream.push_input(&vec![b'x'; MAX_LINE_BYTES + extra]);
+            stream.push_input(b"\n{\"op\":\"health\"}\n");
+            stream.close_input();
+            let mut r = BufReader::with_capacity(MAX_LINE_BYTES + 2, stream);
+            assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::TooLong);
+            assert_eq!(
+                read_bounded_line(&mut r).unwrap(),
+                LineRead::Line("{\"op\":\"health\"}".into()),
+                "{extra} bytes over"
+            );
+            assert_eq!(read_bounded_line(&mut r).unwrap(), LineRead::Eof);
+        }
     }
 }
 

@@ -14,8 +14,9 @@
 //! It prices each distinct transplanted row once. Configurations whose
 //! scale factors agree bit for bit on every column the tree reads form one
 //! class ([`crate::analytic::factor_columns`] says which factors a column
-//! reads; an analytic column reads them all). Within a section, a factor
-//! whose rate is zero drops out, because it moves nothing. Each section's
+//! reads; an analytic column reads them all; a factor no configuration
+//! moves is left out). Within a section, a factor whose rate is zero drops
+//! out, because it moves nothing. Each section's
 //! distinct rows go through the compiled tree's parallel batch engine, and
 //! every class is summarised and blamed once; its configurations share the
 //! result. One analytic model of the base machine prices the analytic
@@ -561,7 +562,9 @@ fn read_columns(tree: &ModelTree) -> Vec<bool> {
 /// scale factors of [`factor_columns`]: a counter column its own (and
 /// `BrPred` also `BrMisPr`'s), an analytic column every counter's. Two
 /// configurations whose factors agree bit for bit on those key columns
-/// therefore price every section identically.
+/// therefore price every section identically. A column whose factor is
+/// the same on every configuration is left out of the key: it moves no
+/// row apart, and fewer key columns give fewer live masks to collapse.
 struct Classes {
     /// Class of every configuration; classes are numbered in order of
     /// first occurrence.
@@ -574,8 +577,14 @@ struct Classes {
 
 impl Classes {
     fn new(base: &MachineConfig, points: &[SweepPoint], read: &[bool]) -> Self {
+        let all: Vec<[f64; N_EVENTS]> = points
+            .iter()
+            .map(|point| scale_factors(base, &point.machine))
+            .collect();
+        let varies = |k: usize| all.iter().any(|f| f[k].to_bits() != all[0][k].to_bits());
         let key_cols = (0..N_EVENTS)
             .filter(|&k| (0..read.len()).any(|j| read[j] && factor_columns(j).any(|f| f == k)))
+            .filter(|&k| varies(k))
             .collect();
         let mut classes = Classes {
             of: Vec::with_capacity(points.len()),
@@ -583,8 +592,7 @@ impl Classes {
             key_cols,
         };
         let mut index: HashMap<Vec<u64>, u32> = HashMap::new();
-        for point in points {
-            let factors = scale_factors(base, &point.machine);
+        for factors in all {
             let next = classes.factors.len() as u32;
             let key = classes.key_cols.iter().map(|&k| factors[k].to_bits());
             let class = *index.entry(key.collect()).or_insert(next);
@@ -1206,10 +1214,12 @@ mod tests {
         let spec = spec_json(r#"{"l1i_kb": [16, 32, 64], "l2_kb": [1024, 4096]}"#);
         let base = spec.base().unwrap();
         let points = spec.enumerate().unwrap();
-        // The L1I axis moves only a column the tree never reads.
+        // The L1I axis moves only a column the tree never reads, and of
+        // the columns it reads only the L2's factor moves.
         let plain = Classes::new(&base, &points, &read);
         assert_eq!((points.len(), plain.len()), (6, 2));
         assert_eq!(plain.of, [0, 1, 0, 1, 0, 1]);
+        assert_eq!(plain.key_cols, [Event::L2m.index()]);
         // A model with analytic columns that reads none of them keys like
         // the plain one.
         let mut wide = read.clone();
@@ -1217,13 +1227,14 @@ mod tests {
         let unread = Classes::new(&base, &points, &wide);
         assert_eq!((&unread.of, &unread.key_cols), (&plain.of, &plain.key_cols));
         // An analytic column, or the `AnCpi` a residual sweep adds, reads
-        // every counter's factor, the L1I's too.
+        // every counter's factor, the L1I's too; the factors no
+        // configuration moves are no keys.
         for col in [N_EVENTS, N_EVENTS + N_ANALYTIC - 1] {
             let mut analytic = wide.clone();
             analytic[col] = true;
             let classes = Classes::new(&base, &points, &analytic);
             assert_eq!(classes.len(), 6, "column {col}");
-            assert_eq!(classes.key_cols, (0..N_EVENTS).collect::<Vec<_>>());
+            assert_eq!(classes.key_cols, [Event::L1im.index(), Event::L2m.index()]);
         }
 
         // A section with no L2 misses cannot tell the L2 sizes apart.

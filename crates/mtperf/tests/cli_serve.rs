@@ -962,6 +962,37 @@ fn golden_requests() -> Vec<String> {
         r#"{"id":"missing-op"}"#.to_string(),
         r#"{"op":"ready","id":"h-end"}"#.to_string(),
         r#"{"op":"list","id":"ls-end"}"#.to_string(),
+        // Number tokens at the edges of the scanner's exact conversion
+        // (at most 19 significant digits, a significand of at most 2^53,
+        // a decimal exponent within ±22). They come after the last health
+        // reply, so no earlier counter moves.
+        format!(
+            r#"{{"op":"predict","id":"fast-edges","rows":[{}]}}"#,
+            [
+                "9007199254740991",
+                "9007199254740992",
+                "9007199254740993",
+                "-9007199254740993",
+                "0.9007199254740993",
+                "0.25570000000000004",
+                "0.09730000000000001",
+                "1234567890123456789",
+                "12345678901234567891",
+                "0.1234567890123456789",
+                "0.12345678901234567891",
+                "0.0000000000000000000001",
+                "0.00000000000000000000001",
+                "0.1234567890123456789012",
+                "0.12345678901234567890123",
+                "1e-22",
+                "1e-23",
+                "1e22",
+                "1E23",
+                "5e-05",
+            ]
+            .map(|tok| format!("[{}]", vec![tok; 20].join(",")))
+            .join(",")
+        ),
         r#"{"op":"shutdown","id":"bye"}"#.to_string(),
     ]
 }

@@ -15,7 +15,11 @@
 //!   a row value exactly when it starts a JSON number (`-` or a digit)
 //!   and `parse::<f64>` accepts it, as the reference decides;
 //! * (f) on the daemon's cache path (decode → matrix → cache), `-0` and
-//!   `0` share an entry and `-0.0` does not.
+//!   `0` share an entry and `-0.0` does not;
+//! * (g) row values at the edges of the scanner's exact conversion path
+//!   (at most 19 significant digits, a significand of at most 2^53, a
+//!   decimal exponent within ±22) and 100,000 seeded random doubles in
+//!   Rust's and Python's shortest forms decode to the reference's bits.
 
 use mtperf::serve::cache::PredictionCache;
 use mtperf::serve::protocol::{
@@ -725,4 +729,140 @@ fn cache_keys_follow_the_decoded_bits() {
         Some(vec![7.0])
     );
     assert_eq!(cache.lookup("default", "v1", &[vec![-0.0, 1.5]]), None);
+}
+
+/// `digits` with a decimal point `k` digits from the right, zero-padded:
+/// `scaled("123", 5)` is `0.00123`.
+fn scaled(digits: &str, k: usize) -> String {
+    if k == 0 {
+        return digits.to_string();
+    }
+    let padded = format!("{digits:0>width$}", width = k + 1);
+    let (int, frac) = padded.split_at(padded.len() - k);
+    format!("{int}.{frac}")
+}
+
+/// A float as Python's `repr` (and so `json.dumps`) writes it: the
+/// shortest round-trip digits, in fixed notation for decimal exponents
+/// -4 to 15 (`.0` appended to an integral value), else as `d.ddde±XX`.
+fn python_repr(x: f64) -> String {
+    let sci = format!("{x:e}");
+    let (digits, exp) = sci.split_once('e').expect("an exponent");
+    let exp: i32 = exp.parse().expect("an integer exponent");
+    if (-4..16).contains(&exp) {
+        let fixed = format!("{x}");
+        if fixed.contains('.') {
+            fixed
+        } else {
+            fixed + ".0"
+        }
+    } else {
+        let sign = if exp < 0 { '-' } else { '+' };
+        format!("{digits}e{sign}{:02}", exp.unsigned_abs())
+    }
+}
+
+#[test]
+fn decimal_conversion_edges_match_the_reference_bits() {
+    for (x, python) in [
+        (5e-5, "5e-05"),
+        (1.5e-7, "1.5e-07"),
+        (0.0001, "0.0001"),
+        (123.0, "123.0"),
+        (1e16, "1e+16"),
+        (0.1 + 0.2, "0.30000000000000004"),
+    ] {
+        assert_eq!(python_repr(x), python);
+    }
+    let mut tokens: Vec<String> = [
+        "-0",
+        "-0.0",
+        "-0e0",
+        "1.",
+        "-.5",
+        "007",
+        "0.000000123",
+        "-0.000000123",
+        "0.0000000000000000000001",
+        "0.00000000000000000000001",
+        "0.25570000000000004",
+        "0.09730000000000001",
+    ]
+    .map(String::from)
+    .to_vec();
+    // Significands around 2^53, as integers and scaled by 10^-k.
+    for m in (1u64 << 53) - 2..=(1u64 << 53) + 2 {
+        let digits = m.to_string();
+        for k in 0..=25 {
+            tokens.push(scaled(&digits, k));
+            tokens.push(format!("-{}", scaled(&digits, k)));
+            tokens.push(format!("{digits}e-{k}"));
+        }
+    }
+    // 15 to 20 significant digits, with 0 to 25 of them after the point.
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0005);
+    for n in 15..=20 {
+        for k in 0..=25 {
+            for _ in 0..4 {
+                let digits: String = (0..n)
+                    .map(|i| char::from_digit(rng.gen_range(u32::from(i == 0)..10), 10))
+                    .map(|digit| digit.expect("a decimal digit"))
+                    .collect();
+                tokens.push(scaled(&digits, k));
+            }
+        }
+    }
+    // Exponents of ±21 to ±24, under both markers.
+    for m in [
+        "1",
+        "17",
+        "0.5",
+        "4.9",
+        "123.456",
+        "9007199254740992",
+        "9007199254740993",
+    ] {
+        for e in 21..=24 {
+            for marker in ['e', 'E'] {
+                tokens.push(format!("{m}{marker}{e}"));
+                tokens.push(format!("{m}{marker}+{e}"));
+                tokens.push(format!("-{m}{marker}-{e}"));
+            }
+        }
+    }
+    for token in &tokens {
+        assert!(
+            check_request(&format!("{{\"rows\":[[{token}]]}}")),
+            "refused {token:?}"
+        );
+    }
+    // Seeded doubles in [1e-7, 1e3]: half at full precision, half rounded
+    // to 1-7 significant digits as measured rates are (the rounding leaves
+    // 17-digit neighbours such as 0.25570000000000004), each in Rust's and
+    // Python's shortest form, 20 to a row.
+    let values: Vec<f64> = (0..100_000)
+        .map(|i| {
+            let x = 10f64.powf(rng.gen_range(-7.0..3.0));
+            if i % 2 == 0 {
+                x
+            } else {
+                let scale = 10f64.powi(rng.gen_range(0..7) - x.log10().floor() as i32);
+                (x * scale).round() / scale
+            }
+        })
+        .collect();
+    let forms: Vec<String> = values
+        .iter()
+        .flat_map(|&x| [format!("{x}"), python_repr(x)])
+        .collect();
+    assert!(
+        forms.iter().any(|t| t.contains("e-0")),
+        "Python exponent forms"
+    );
+    for row in forms.chunks(20) {
+        assert!(check_request(&format!(
+            "{{\"rows\":[[{}]]}}",
+            row.join(",")
+        )));
+    }
 }
