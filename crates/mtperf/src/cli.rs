@@ -403,6 +403,13 @@ fn params_from(args: &Args, n_rows: usize) -> Result<M5Params, String> {
 /// tree learns only the analytical model's error. A residual model file is
 /// indistinguishable from a direct one — pass `--residual` again at
 /// predict/evaluate/sweep time to reconstruct.
+///
+/// # Errors
+///
+/// [`CliError::Data`] for data the ingest policy rejects, or for finite
+/// values too large for a node's least-squares fit (the message names the
+/// section and the column, as `mtperf sweep` does); [`CliError::Io`] for
+/// file errors.
 pub fn cmd_train(args: &Args) -> Result<(), CliError> {
     let data_path = args.require("data")?;
     let out = args.require("out")?;
@@ -413,7 +420,8 @@ pub fn cmd_train(args: &Args) -> Result<(), CliError> {
         None => data,
     };
     let params = params_from(args, data.n_rows())?;
-    let tree = ModelTree::fit(&data, &params)?;
+    let tree = ModelTree::fit(&data, &params)
+        .map_err(|e| section_error("train", &samples, data.attr_names(), e))?;
     tree.save(out)?;
     println!(
         "trained on {} sections ({} features{}): {} classes, depth {} -> {out}",
@@ -565,30 +573,34 @@ pub fn cmd_analyze(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
     Ok(())
 }
 
-/// Converts `err` from pricing `samples` for `command`. A
-/// [`MtreeError::NonFiniteValue`] becomes a data error that names the
-/// section by row, workload and index, and the column whose transplanted
-/// value is not finite when `attr` is set (only a sweep transplants).
+/// Converts `err` from fitting or pricing `samples` for `command`. A
+/// [`MtreeError::NonFiniteValue`] or [`MtreeError::FitOverflow`] becomes a
+/// data error that names the section by row, workload and index: for a
+/// value that is not finite, the column whose transplanted value it is
+/// when `attr` is set (only a sweep transplants); for an overflowing fit,
+/// the column whose values the fit could not sum (`attr`, or the target).
 fn section_error(
     command: &str,
     samples: &SampleSet,
     attr_names: &[String],
     err: MtreeError,
 ) -> CliError {
-    match err {
-        MtreeError::NonFiniteValue { row, attr } => {
-            let section = &samples.samples()[row];
-            let what = match attr {
-                Some(a) => format!("transplanted {} is not finite", attr_names[a]),
-                None => "predicted CPI is not finite".to_string(),
-            };
-            CliError::Data(format!(
-                "{command}: section {row} ({} #{}): {what}",
-                section.workload, section.section_index
-            ))
+    let (row, what) = match err {
+        MtreeError::NonFiniteValue { row, attr } => match attr {
+            Some(a) => (row, format!("transplanted {} is not finite", attr_names[a])),
+            None => (row, "predicted CPI is not finite".to_string()),
+        },
+        MtreeError::FitOverflow { row, attr } => {
+            let column = attr.map_or("the target", |a| attr_names[a].as_str());
+            (row, format!("{column} overflows the least-squares fit"))
         }
-        other => other.into(),
-    }
+        other => return other.into(),
+    };
+    let section = &samples.samples()[row];
+    CliError::Data(format!(
+        "{command}: section {row} ({} #{}): {what}",
+        section.workload, section.section_index
+    ))
 }
 
 /// One emitted prediction row of `mtperf predict`.

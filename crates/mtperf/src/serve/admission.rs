@@ -169,16 +169,6 @@ impl<T> FairQueue<T> {
             .collect()
     }
 
-    /// Jobs queued for one tenant.
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
-        self.inner
-            .lock()
-            .expect("fair queue lock poisoned")
-            .lanes
-            .get(tenant)
-            .map_or(0, VecDeque::len)
-    }
-
     /// The global bound.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -247,7 +237,7 @@ mod tests {
         q.try_push("b", 5).unwrap();
         assert_eq!(q.try_push("c", 6), Err(PushError::Full));
         assert_eq!(q.depth(), 4);
-        assert_eq!(q.tenant_depth("a"), 2);
+        assert_eq!(q.inner.lock().unwrap().lanes["a"].len(), 2);
 
         // Draining a tenant frees its quota.
         q.try_pop().unwrap();

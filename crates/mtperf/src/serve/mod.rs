@@ -250,7 +250,11 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
 /// deterministic-simulation harness ([`dst`]) can drain the queue step by
 /// step on a single logical thread via [`FairQueue::try_pop`].
 pub(crate) fn answer(shared: &Arc<Shared>, job: Job) {
-    mtperf_obs::gauge("serve.queue_depth", shared.queue.depth() as f64);
+    // Reading the depth takes the queue's lock, which every push and pop
+    // contends for; pay it only when the gauge is recorded.
+    if mtperf_obs::is_enabled() {
+        mtperf_obs::gauge("serve.queue_depth", shared.queue.depth() as f64);
+    }
     if job.token.is_cancelled() {
         shared.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
         mtperf_obs::add("serve.deadline_miss", 1);

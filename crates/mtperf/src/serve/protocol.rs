@@ -78,13 +78,26 @@
 //!
 //! Each request byte is read about once. [`read_bounded_line`] frames a
 //! line with std's word-at-a-time newline search. The pass that checks a
-//! number token also folds its digits into a `u64` significand and a
-//! decimal exponent; when the significand is at most 2^53 and the
-//! exponent within ±22, one IEEE multiply or divide by an exact power of
-//! ten gives the value, correctly rounded and so bit-identical to
-//! `str::parse::<f64>`. Only the other tokens (more significant digits,
-//! such as `0.25570000000000004`, or a larger exponent) are handed to
-//! `parse::<f64>`, on the slice already scanned.
+//! number token also folds its first 19 significant digits into a `u64`
+//! significand `w` and a decimal exponent `q`, and a token is converted
+//! from those, without a second parse, by the first of three paths that
+//! takes it:
+//!
+//! 1. **Exact**: `w ≤ 2^53` and `q` within ±22. One IEEE multiply or
+//!    divide by an exact power of ten, with one rounding.
+//! 2. **Eisel–Lemire**: at most 19 significant digits, `w ≠ 0` and `q`
+//!    in -27..=55, as core's `dec2flt::lemire` converts it: `w` times a
+//!    128-bit `5^q` from an 83-entry table, with a round-half-even check
+//!    for the ties that can occur (`q` in -4..=23). This takes the
+//!    16–17-digit shortest forms such as `0.25570000000000004`.
+//! 3. **`parse::<f64>`**, in a cold helper, on the scanned slice: more
+//!    than 19 significant digits, a zero significand with a large
+//!    exponent, or `q` outside -27..=55.
+//!
+//! The first two are correctly rounded, so every path gives
+//! `str::parse::<f64>`'s bits. [`decode_header`] runs the same scan with
+//! conversion compiled out: its row loop checks the syntax of each number
+//! and folds no digit.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -509,7 +522,7 @@ pub struct Rows {
 /// A [`DecodeError`] exactly when `serde_json::from_str::<Request>`
 /// refuses the line.
 pub fn decode_request(line: &str) -> Result<(RequestHeader, Option<Rows>), DecodeError> {
-    scan_request(line, true)
+    scan_request::<true>(line)
 }
 
 /// Reads a request line's header fields. The accept set is
@@ -520,7 +533,7 @@ pub fn decode_request(line: &str) -> Result<(RequestHeader, Option<Rows>), Decod
 ///
 /// A [`DecodeError`] exactly when [`decode_request`] refuses the line.
 pub fn decode_header(line: &str) -> Result<RequestHeader, DecodeError> {
-    scan_request(line, false).map(|(header, _)| header)
+    scan_request::<false>(line).map(|(header, _)| header)
 }
 
 /// Reads a reply line's header without building its payload: the whole
@@ -623,7 +636,9 @@ impl Seen {
     }
 }
 
-fn scan_request(line: &str, convert: bool) -> Result<(RequestHeader, Option<Rows>), DecodeError> {
+fn scan_request<const CONVERT: bool>(
+    line: &str,
+) -> Result<(RequestHeader, Option<Rows>), DecodeError> {
     let mut sc = Scanner::new(line);
     let mut header = RequestHeader::default();
     let mut rows = None;
@@ -632,7 +647,7 @@ fn scan_request(line: &str, convert: bool) -> Result<(RequestHeader, Option<Rows
         match key {
             "id" if seen.first(0) => header.id = sc.opt_string()?,
             "op" if seen.first(1) => header.op = sc.opt_string()?,
-            "rows" if seen.first(2) => rows = sc.opt_rows(convert)?,
+            "rows" if seen.first(2) => rows = sc.opt_rows::<CONVERT>()?,
             "deadline_ms" if seen.first(3) => header.deadline_ms = sc.opt_u64()?,
             "path" if seen.first(4) => header.path = sc.opt_string()?,
             "model" if seen.first(5) => header.model = sc.opt_string()?,
@@ -645,10 +660,11 @@ fn scan_request(line: &str, convert: bool) -> Result<(RequestHeader, Option<Rows
     Ok((header, rows))
 }
 
-/// A number token as the scanner read it: the text, and its digits folded
-/// into `±significand × 10^exponent` in the same pass.
-struct Number<'a> {
-    token: &'a str,
+/// A number token as the scanner read it: its byte span in the line, and
+/// its digits folded into `±significand × 10^exponent` in the same pass.
+struct Number {
+    start: usize,
+    end: usize,
     /// No `.`, `e` or `E`.
     integral: bool,
     negative: bool,
@@ -666,7 +682,45 @@ const EXACT_POWERS_OF_TEN: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-impl Number<'_> {
+/// `5^q` for `q` in -27..=55 (entry `q + 27`), as the high and low words
+/// of a 128-bit value with its top bit set: `5^q` shifted up for `q ≥ 0`
+/// (exact, as `5^55 < 2^128`), and `⌊2^b / 5^-q⌋ + 1` with
+/// `b = 127 + bitlen(5^-q)` for `q < 0`, the rule by which core's
+/// `dec2flt` table is generated over those exponents.
+const POWERS_OF_FIVE: [(u64, u64); 83] = powers_of_five();
+
+const fn powers_of_five() -> [(u64, u64); 83] {
+    let mut table = [(0, 0); 83];
+    let mut i = 0;
+    while i < table.len() {
+        let q = i as i32 - 27;
+        let power = 5u128.pow(q.unsigned_abs());
+        let normalized = if q >= 0 {
+            power << power.leading_zeros()
+        } else {
+            // ⌊2^b / power⌋ by long division, one quotient bit per step;
+            // the quotient lies in (2^127, 2^128).
+            let b = 127 + (128 - power.leading_zeros());
+            let (mut quotient, mut remainder) = (0u128, 1u128);
+            let mut step = 0;
+            while step < b {
+                remainder <<= 1;
+                quotient <<= 1;
+                if remainder >= power {
+                    remainder -= power;
+                    quotient |= 1;
+                }
+                step += 1;
+            }
+            quotient + 1
+        };
+        table[i] = ((normalized >> 64) as u64, normalized as u64);
+        i += 1;
+    }
+    table
+}
+
+impl Number {
     /// The value when one IEEE multiply or divide gives it: every digit
     /// folded, a significand of at most 2^53 and an exponent within ±22.
     /// Both operands are then exact, so the one rounding is the correct
@@ -682,6 +736,56 @@ impl Number<'_> {
             -22..=-1 => significand / EXACT_POWERS_OF_TEN[self.exponent.unsigned_abs() as usize],
             _ => return None,
         };
+        Some(if self.negative { -magnitude } else { magnitude })
+    }
+
+    /// The value by the Eisel–Lemire algorithm, as core's
+    /// `dec2flt::lemire` computes it, when every digit is folded, the
+    /// significand is not zero and the exponent `q` is in -27..=55: the
+    /// normalized significand times the normalized `5^q`, with a second
+    /// product only when the low 9 bits of the first one's high word are
+    /// all ones. Within these exponents that is always decisive (core
+    /// falls back only outside them), so the result is correctly rounded
+    /// and is `parse::<f64>`'s, bit for bit. No such value is subnormal
+    /// or infinite.
+    #[inline(always)]
+    fn eisel_lemire(&self) -> Option<f64> {
+        let q = self.exponent;
+        if self.significant > 19 || self.significand == 0 || !(-27..=55).contains(&q) {
+            return None;
+        }
+        let (hi5, lo5) = POWERS_OF_FIVE[(q + 27) as usize];
+        let shift = self.significand.leading_zeros();
+        let w = u128::from(self.significand << shift);
+        let product = w * u128::from(hi5);
+        let (mut lo, mut hi) = (product as u64, (product >> 64) as u64);
+        if hi & 0x1FF == 0x1FF {
+            // Both factors are below 2^64, so `hi ≤ 2^64 - 2` and the
+            // carry cannot overflow.
+            let carry = ((w * u128::from(lo5)) >> 64) as u64;
+            lo = lo.wrapping_add(carry);
+            hi += u64::from(carry > lo);
+        }
+        // The 52 stored bits, the hidden bit and one rounding bit.
+        let upper = (hi >> 63) as u32;
+        let mut mantissa = hi >> (upper + 9);
+        // ⌊q · log2(10)⌋ + 63 (core's `power`), plus the exponent bias.
+        let q = q as i32;
+        let mut biased = ((q * (152_170 + 65_536)) >> 16) + 63 + upper as i32 - shift as i32 + 1023;
+        // Only for q in -4..=23 can a decimal of at most 19 digits fall
+        // exactly halfway between two doubles; such a tie shows as a
+        // product with no bits below the rounding bit, and rounds to the
+        // even double.
+        if lo <= 1 && (-4..=23).contains(&q) && mantissa & 3 == 1 && mantissa << (upper + 9) == hi {
+            mantissa &= !1;
+        }
+        mantissa = (mantissa + (mantissa & 1)) >> 1;
+        if mantissa >= 2 << 52 {
+            // Rounding carried into the next binade.
+            mantissa = 1 << 52;
+            biased += 1;
+        }
+        let magnitude = f64::from_bits(((biased as u64) << 52) | (mantissa & !(1 << 52)));
         Some(if self.negative { -magnitude } else { magnitude })
     }
 }
@@ -875,68 +979,76 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Consumes a run of digits, handing each one's value to `fold`, and
-    /// returns how many there were.
-    #[inline(always)]
-    fn digits(&mut self, mut fold: impl FnMut(u8)) -> usize {
-        let start = self.pos;
-        while let Some(digit @ 0..=9) = self.peek().map(|b| b.wrapping_sub(b'0')) {
-            fold(digit);
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
     /// One number token, `-?[0-9]*(\.[0-9]*)?([eE][+-]?[0-9]*)?`, accepted
     /// exactly when `str::parse::<f64>` accepts it: at least one mantissa
     /// digit, and a digit after an exponent marker. The same pass folds
-    /// the token's digits into a [`Number`].
+    /// the token's digits into a [`Number`]; the walk runs on a local
+    /// cursor, stored back once.
     #[inline(always)]
-    fn number(&mut self) -> Result<Number<'a>, DecodeError> {
+    fn number(&mut self) -> Result<Number, DecodeError> {
+        let bytes = self.bytes;
         let start = self.pos;
-        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            return self.fail("expected a number");
-        }
-        let negative = self.eat(b'-');
-        let (mut significand, mut significant) = (0u64, 0usize);
-        let mut fold = |digit: u8| {
-            if significant < 19 {
-                significand = significand * 10 + u64::from(digit);
-            }
-            // Leading zeros leave the significand 0 and are not counted.
-            significant += usize::from(significand != 0);
+        let negative = match bytes.get(start) {
+            Some(b'-') => true,
+            Some(b'0'..=b'9') => false,
+            _ => return self.fail("expected a number"),
         };
-        let mut mantissa = self.digits(&mut fold);
+        let pos = start + usize::from(negative);
+        let (mut significand, mut significant) = (0u64, 0usize);
+        let mut fold = |mut pos: usize| {
+            while let Some(&byte) = bytes.get(pos) {
+                let digit = byte.wrapping_sub(b'0');
+                if digit > 9 {
+                    break;
+                }
+                if significant < 19 {
+                    significand = significand * 10 + u64::from(digit);
+                }
+                // Leading zeros leave the significand 0 and are not counted.
+                significant += usize::from(significand != 0);
+                pos += 1;
+            }
+            pos
+        };
+        let mut pos = fold(pos);
+        let mut mantissa = pos - start - usize::from(negative);
         let mut integral = true;
         let mut fraction = 0;
-        if self.eat(b'.') {
+        if bytes.get(pos) == Some(&b'.') {
             integral = false;
-            fraction = self.digits(&mut fold);
+            let end = fold(pos + 1);
+            fraction = end - pos - 1;
             mantissa += fraction;
+            pos = end;
         }
         let mut exponent = 0i64;
         let mut exponent_ok = true;
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if let Some(b'e' | b'E') = bytes.get(pos) {
             integral = false;
-            self.pos += 1;
-            let negative_exponent = self.peek() == Some(b'-');
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+            pos += 1;
+            let negative_exponent = bytes.get(pos) == Some(&b'-');
+            if let Some(b'+' | b'-') = bytes.get(pos) {
+                pos += 1;
             }
-            // Saturates far beyond the ±22 of the exact path, so a huge
-            // exponent never lands in it.
-            exponent_ok = self.digits(|digit| {
+            let from = pos;
+            // Saturates far beyond the exponents of either fast path, so
+            // a huge exponent never lands in one.
+            while let Some(digit @ 0..=9) = bytes.get(pos).map(|b| b.wrapping_sub(b'0')) {
                 exponent = exponent.saturating_mul(10).saturating_add(i64::from(digit));
-            }) > 0;
+                pos += 1;
+            }
+            exponent_ok = pos > from;
             if negative_exponent {
                 exponent = -exponent;
             }
         }
+        self.pos = pos;
         if mantissa == 0 || !exponent_ok {
             return self.fail("invalid number");
         }
         Ok(Number {
-            token: &self.text[start..self.pos],
+            start,
+            end: pos,
             integral,
             negative,
             significand,
@@ -946,7 +1058,8 @@ impl<'a> Scanner<'a> {
         })
     }
 
-    /// A number as `f64` gets it from the reference. The reference types
+    /// A number as `f64` gets it from the reference: by the exact path,
+    /// else by Eisel–Lemire, else by `parse::<f64>`. The reference types
     /// an integral token as `u64` or `i64` before its `as f64` cast, which
     /// rounds exactly as `parse::<f64>` does but loses the sign of zero:
     /// `-0` reads `+0.0` (adding `+0.0` does that), while `-0.0` reads
@@ -954,14 +1067,22 @@ impl<'a> Scanner<'a> {
     #[inline(always)]
     fn number_value(&mut self) -> Result<f64, DecodeError> {
         let number = self.number()?;
-        let x = match number.exact() {
+        let x = match number.exact().or_else(|| number.eisel_lemire()) {
             Some(x) => x,
-            None => number
-                .token
-                .parse::<f64>()
-                .or_else(|_| self.fail("invalid number"))?,
+            None => self.parse_number(&number)?,
         };
         Ok(if number.integral { x + 0.0 } else { x })
+    }
+
+    /// A token off both fast paths (more than 19 significant digits, a
+    /// zero significand with a large exponent, or an exponent outside
+    /// -27..=55), converted by `parse::<f64>`.
+    #[cold]
+    #[inline(never)]
+    fn parse_number(&self, number: &Number) -> Result<f64, DecodeError> {
+        self.text[number.start..number.end]
+            .parse::<f64>()
+            .or_else(|_| self.fail("invalid number"))
     }
 
     fn opt_string(&mut self) -> Result<Option<String>, DecodeError> {
@@ -994,17 +1115,15 @@ impl<'a> Scanner<'a> {
             return Ok(None);
         }
         let start = self.pos;
-        if let Ok(Number {
-            token,
-            integral: true,
-            ..
-        }) = self.number()
-        {
-            if let Ok(n) = token.parse::<u64>() {
-                return Ok(Some(n));
-            }
-            if token.parse::<i64>() == Ok(0) {
-                return Ok(Some(0));
+        if let Ok(number) = self.number() {
+            let token = &self.text[number.start..number.end];
+            if number.integral {
+                if let Ok(n) = token.parse::<u64>() {
+                    return Ok(Some(n));
+                }
+                if token.parse::<i64>() == Ok(0) {
+                    return Ok(Some(0));
+                }
             }
         }
         self.pos = start;
@@ -1012,51 +1131,71 @@ impl<'a> Scanner<'a> {
     }
 
     /// `rows`: `null`, or an array of arrays of numbers, converted into
-    /// one row-major buffer when `convert` is set.
-    fn opt_rows(&mut self, convert: bool) -> Result<Option<Rows>, DecodeError> {
+    /// one row-major buffer when `CONVERT` is set. Without it the loop
+    /// only checks syntax: no digit is folded and nothing is buffered.
+    /// Kept out of line: inlined into the request scan, with every header
+    /// field live, the loop's cursor and fold spilled to the stack.
+    #[inline(never)]
+    fn opt_rows<const CONVERT: bool>(&mut self) -> Result<Option<Rows>, DecodeError> {
         if self.literal("null") {
             return Ok(None);
         }
-        let mut rows = Rows::default();
         self.expect(b'[', "expected an array of rows")?;
         self.ws();
-        if self.eat(b']') {
-            return Ok(Some(rows));
-        }
-        loop {
-            self.ws();
-            self.expect(b'[', "expected a row array")?;
-            self.ws();
-            let mut len = 0;
-            if !self.eat(b']') {
-                loop {
-                    self.ws();
-                    if convert {
-                        let value = self.number_value()?;
-                        rows.values.push(value);
-                    } else {
-                        self.number()?;
-                    }
-                    len += 1;
-                    self.ws();
-                    if !self.eat(b',') {
-                        self.expect(b']', "expected ',' or ']' in array")?;
-                        break;
+        let (mut count, mut width, mut ragged) = (0, 0, false);
+        let mut values = Vec::new();
+        if !self.eat(b']') {
+            loop {
+                self.ws();
+                self.expect(b'[', "expected a row array")?;
+                self.ws();
+                let mut len = 0;
+                if !self.eat(b']') {
+                    loop {
+                        self.ws();
+                        if CONVERT {
+                            values.push(self.number_value()?);
+                        } else {
+                            self.number()?;
+                        }
+                        len += 1;
+                        // The usual next byte is taken directly; only
+                        // another goes through the whitespace loop.
+                        match self.peek() {
+                            Some(b',') => self.pos += 1,
+                            Some(b']') => {
+                                self.pos += 1;
+                                break;
+                            }
+                            _ => {
+                                self.ws();
+                                if !self.eat(b',') {
+                                    self.expect(b']', "expected ',' or ']' in array")?;
+                                    break;
+                                }
+                            }
+                        }
                     }
                 }
-            }
-            if rows.count == 0 {
-                rows.width = len;
-            } else if len != rows.width {
-                rows.ragged = true;
-            }
-            rows.count += 1;
-            self.ws();
-            if !self.eat(b',') {
-                self.expect(b']', "expected ',' or ']' in array")?;
-                return Ok(Some(rows));
+                if count == 0 {
+                    width = len;
+                } else if len != width {
+                    ragged = true;
+                }
+                count += 1;
+                self.ws();
+                if !self.eat(b',') {
+                    self.expect(b']', "expected ',' or ']' in array")?;
+                    break;
+                }
             }
         }
+        Ok(Some(Rows {
+            count,
+            width,
+            ragged,
+            values,
+        }))
     }
 
     /// Syntax-checks one value of any type and drops it. Iterative, so a

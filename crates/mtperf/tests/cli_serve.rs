@@ -333,6 +333,30 @@ fn stdio_session_serves_health_predict_and_shutdown() {
 }
 
 #[test]
+fn metrics_json_reports_queue_depth_and_requests() {
+    // The workers read the queue depth only while metrics are recorded;
+    // a session run with them must still report it.
+    let fx = Fixture::new("metrics");
+    let mut serve = Serve::start(&["--model", &fx.model, "--metrics", "json"]);
+    for id in ["m1", "m2"] {
+        let resp = serve.request(&format!(
+            r#"{{"op":"predict","id":"{id}","rows":{}}}"#,
+            rows_json(20)
+        ));
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+    let (status, err) = serve.finish();
+    assert!(status.success(), "exit: {status:?}, stderr: {err}");
+    let metrics = err
+        .lines()
+        .find(|l| l.starts_with("{\"wall_us\":"))
+        .unwrap_or_else(|| panic!("no metrics JSON on stderr: {err}"));
+    for name in ["\"serve.queue_depth\"", "\"serve.requests\""] {
+        assert!(metrics.contains(name), "{name} missing from {metrics}");
+    }
+}
+
+#[test]
 fn stdin_eof_drains_and_exits_cleanly() {
     let fx = Fixture::new("eof");
     let mut serve = Serve::start(&["--model", &fx.model]);

@@ -866,3 +866,159 @@ fn decimal_conversion_edges_match_the_reference_bits() {
         )));
     }
 }
+
+/// The tokens `w e q` and `(w + 1) e q`, with `w` of 19 digits, on either
+/// side of the midpoint `odd · 2^t` between two adjacent doubles (`odd` a
+/// 54-bit odd number), for the `t` that gives `w` 19 digits. Neither is
+/// exactly the midpoint for `q ≤ -5` or `q ≥ 24`.
+fn straddling(odd: u128, q: i32) -> [String; 2] {
+    let five = 5u128.pow(q.unsigned_abs());
+    let w = (0..=74)
+        .map(|s| {
+            if q >= 0 {
+                (odd << s) / five
+            } else {
+                (odd * five) >> s
+            }
+        })
+        .find(|w| (10u128.pow(18)..10u128.pow(19)).contains(w))
+        .expect("a 19-digit significand");
+    [format!("{w}e{q}"), format!("{}e{q}", w + 1)]
+}
+
+/// A random 54-bit odd number: the significand of a midpoint between two
+/// adjacent 53-bit significands.
+fn odd54(rng: &mut SmallRng) -> u128 {
+    u128::from(rng.gen_range(1u64 << 53..1u64 << 54) | 1)
+}
+
+#[test]
+fn eisel_lemire_edges_match_the_reference_bits() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0006);
+    let random_digits = |rng: &mut SmallRng, n: usize| -> String {
+        (0..n)
+            .map(|i| char::from_digit(rng.gen_range(u32::from(i == 0)..10), 10))
+            .map(|digit| digit.expect("a decimal digit"))
+            .collect()
+    };
+    let mut tokens: Vec<String> = Vec::new();
+    // Exponents at either end of the Eisel–Lemire range and one past it,
+    // with 1, 16, 17, 19 and 20 significant digits: as an integer times
+    // `e{q}` and with a point after the first digit.
+    for q in [-28i32, -27, 55, 56] {
+        for n in [1usize, 16, 17, 19, 20] {
+            let mut forms = vec!["9".repeat(n), format!("1{}", "0".repeat(n - 1))];
+            forms.extend((0..3).map(|_| random_digits(&mut rng, n)));
+            for digits in forms {
+                tokens.push(format!("{digits}e{q}"));
+                tokens.push(format!("-{digits}E{q}"));
+                let (first, rest) = digits.split_at(1);
+                tokens.push(format!("{first}.{rest}e{}", q + n as i32 - 1));
+            }
+        }
+    }
+    // Significands near 2^64: the largest of 19 digits, and 2^64 - 1,
+    // which has 20.
+    for w in [
+        "9999999999999999999",
+        "1844674407370955161",
+        "18446744073709551615",
+    ] {
+        for q in ["", "e-27", "e-1", "e1", "e23", "e24", "e55"] {
+            tokens.push(format!("{w}{q}"));
+            tokens.push(format!("-{w}{q}"));
+        }
+    }
+    // Exact halfway cases, which round to the even double, and their
+    // neighbours one unit away. Only for q in -4..=23 does a decimal of
+    // at most 19 digits fall exactly on a midpoint `odd · 2^t`: for q ≤ 0
+    // it is `odd · 5^-q · 2^j`, for q > 0 it is `k · 2^j` where
+    // `odd = k · 5^q`.
+    tokens.extend(
+        [
+            "9007199254740993",
+            "9007199254740995",
+            "4503599627370497.5",
+            "1e23",
+            "8e23",
+            "2251799813685248.25",
+        ]
+        .map(String::from),
+    );
+    for q in -4i32..=23 {
+        for _ in 0..8 {
+            let five = 5u128.pow(q.unsigned_abs());
+            let base = if q <= 0 {
+                odd54(&mut rng) * five
+            } else {
+                // An odd multiple of 5^q among the 54-bit odd numbers.
+                let (low, high) = ((1u128 << 53) / five, (1u128 << 54) / five);
+                let k = rng.gen_range(low as u64..=high as u64) | 1;
+                if !(1u128 << 53..1u128 << 54).contains(&(u128::from(k) * five)) {
+                    continue;
+                }
+                u128::from(k)
+            };
+            for j in 0..4 {
+                let w = base << j;
+                if w >= 10u128.pow(19) {
+                    break;
+                }
+                for near in [w - 1, w, w + 1] {
+                    tokens.push(format!("{near}e{q}"));
+                    if q < 0 {
+                        tokens.push(scaled(&near.to_string(), q.unsigned_abs() as usize));
+                    }
+                }
+            }
+        }
+    }
+    // Near-halfway cases just outside that window: no 19-digit decimal is
+    // a midpoint there, and these miss one by a unit in the last digit.
+    for q in [-8, -7, -6, -5, 24, 25, 26, 27] {
+        for _ in 0..32 {
+            tokens.extend(straddling(odd54(&mut rng), q));
+        }
+    }
+    // Zero significands with any exponent stay off the new path.
+    tokens.extend(
+        [
+            "0e55",
+            "0.000e-30",
+            "-0e60",
+            "0e-28",
+            "-0.0e56",
+            "0e-400",
+            "00000000000000000000e30",
+        ]
+        .map(String::from),
+    );
+    for row in tokens.chunks(20) {
+        let line = format!("{{\"rows\":[[{}]]}}", row.join(","));
+        assert!(check_request(&line), "refused {line:?}");
+    }
+    // 100,000 seeded decimals with 17 to 19 significant digits and q
+    // across -30..=58, as an integer times `e{q}`, with a point after the
+    // first digit, or negated.
+    let seeded: Vec<String> = (0..100_000)
+        .map(|i| {
+            let n = rng.gen_range(17..=19usize);
+            let q = rng.gen_range(-30..=58i32);
+            let digits = random_digits(&mut rng, n);
+            match i % 3 {
+                0 => format!("{digits}e{q}"),
+                1 => {
+                    let (first, rest) = digits.split_at(1);
+                    format!("{first}.{rest}E{:+}", q + n as i32 - 1)
+                }
+                _ => format!("-{digits}e{q}"),
+            }
+        })
+        .collect();
+    for row in seeded.chunks(20) {
+        assert!(check_request(&format!(
+            "{{\"rows\":[[{}]]}}",
+            row.join(",")
+        )));
+    }
+}

@@ -24,6 +24,15 @@ pub enum MtreeError {
         /// target value itself is non-finite.
         attr: Option<usize>,
     },
+    /// A node's least-squares fit overflowed: the values are finite, but
+    /// a sum of their products in the normal equations is not. Names the
+    /// column with the largest magnitude among the overflowing entry's.
+    FitOverflow {
+        /// Row index of that column's largest |value| (the first on ties).
+        row: usize,
+        /// Column index of the attribute, or `None` for the target.
+        attr: Option<usize>,
+    },
     /// Attribute names must be unique and non-empty.
     BadAttributeNames,
     /// A caller-supplied attribute index is out of range for the row or
@@ -67,6 +76,16 @@ impl fmt::Display for MtreeError {
             MtreeError::NonFiniteValue { row, attr } => match attr {
                 Some(a) => write!(f, "non-finite value in row {row}, attribute {a}"),
                 None => write!(f, "non-finite target in row {row}"),
+            },
+            MtreeError::FitOverflow { row, attr } => match attr {
+                Some(a) => write!(
+                    f,
+                    "least-squares fit overflows on attribute {a} (largest in row {row})"
+                ),
+                None => write!(
+                    f,
+                    "least-squares fit overflows on the target (largest in row {row})"
+                ),
             },
             MtreeError::BadAttributeNames => {
                 write!(f, "attribute names must be unique and non-empty")
@@ -135,6 +154,12 @@ mod tests {
         }
         .to_string()
         .contains("attribute 2"));
+        assert!(MtreeError::FitOverflow {
+            row: 17,
+            attr: Some(4)
+        }
+        .to_string()
+        .contains("attribute 4 (largest in row 17)"));
         assert!(MtreeError::BadParams("x".into()).to_string().contains("x"));
         assert!(MtreeError::DegenerateData("empty fold".into())
             .to_string()

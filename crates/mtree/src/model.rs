@@ -256,9 +256,15 @@ impl NormalEquations {
             }
         }
         mtperf_obs::add("mtree.gram_builds", 1);
+        let gram = x.gram();
+        let rhs = x.t_matvec(&y)?;
+        // Finite data can still overflow a sum of products.
+        if let Some((a, b)) = first_non_finite(&gram, &rhs) {
+            return Err(overflow(data, idx, &live, a, b));
+        }
         Ok(NormalEquations {
-            gram: x.gram(),
-            rhs: x.t_matvec(&y)?,
+            gram,
+            rhs,
             live,
             mean,
         })
@@ -296,6 +302,58 @@ impl NormalEquations {
                 .zip(beta[1..].iter().copied())
                 .collect(),
         })
+    }
+}
+
+/// The design columns behind the first entry of `gram` (row by row), then
+/// of `rhs`, that is not finite: column `0` is the intercept and column
+/// `k + 1` live attribute `k`; an `rhs` entry pairs its column with the
+/// target (`None`).
+fn first_non_finite(gram: &Matrix, rhs: &[f64]) -> Option<(usize, Option<usize>)> {
+    let n = rhs.len();
+    (0..n)
+        .flat_map(|a| (0..n).map(move |b| (a, b)))
+        .find(|&(a, b)| !gram[(a, b)].is_finite())
+        .map(|(a, b)| (a, Some(b)))
+        .or_else(|| rhs.iter().position(|v| !v.is_finite()).map(|a| (a, None)))
+}
+
+/// The error for an entry of the normal equations that overflowed over
+/// design columns `a` and `b` (`None` the target): of the attributes (and
+/// target) its products sum over, the one with the largest |value| over
+/// `idx`, and the first dataset row holding that value.
+fn overflow(
+    data: &Dataset,
+    idx: &[usize],
+    live: &[usize],
+    a: usize,
+    b: Option<usize>,
+) -> MtreeError {
+    // `None` is the target; the intercept column cannot overflow.
+    let mut columns: Vec<Option<usize>> = [Some(a), b]
+        .into_iter()
+        .flatten()
+        .filter(|&c| c > 0)
+        .map(|c| Some(live[c - 1]))
+        .collect();
+    if b.is_none() {
+        columns.push(None);
+    }
+    let value = |i: usize, column: Option<usize>| match column {
+        Some(j) => data.value(i, j).abs(),
+        None => data.target(i).abs(),
+    };
+    let mut worst = (f64::NEG_INFINITY, idx[0], None);
+    for &column in &columns {
+        for &i in idx {
+            if value(i, column) > worst.0 {
+                worst = (value(i, column), i, column);
+            }
+        }
+    }
+    MtreeError::FitOverflow {
+        row: worst.1,
+        attr: worst.2,
     }
 }
 
@@ -353,6 +411,43 @@ mod tests {
             LinearModel::fit(&d, &[], &[0]),
             Err(MtreeError::EmptyDataset)
         ));
+    }
+
+    #[test]
+    fn an_overflowing_fit_names_the_largest_column_and_row() {
+        // Every value is finite, but `b` squared overflows: the error
+        // names `b` and the first row of its largest magnitude, not the
+        // singular matrix the overflow would leave.
+        let rows: Vec<[f64; 3]> = (0..8)
+            .map(|i| {
+                let b = match i {
+                    3 | 6 => -1.7e308,
+                    _ => i as f64,
+                };
+                [i as f64, b, (i * i) as f64]
+            })
+            .collect();
+        let ys: Vec<f64> = (0..8).map(|i| 1.0 + i as f64).collect();
+        let names = vec!["a".into(), "b".into(), "c".into()];
+        let d = Dataset::from_rows(names, &rows, &ys).unwrap();
+        let idx: Vec<usize> = (0..8).collect();
+        for fit in [LinearModel::fit, LinearModel::fit_with_elimination] {
+            assert_eq!(
+                fit(&d, &idx, &[0, 1, 2]),
+                Err(MtreeError::FitOverflow {
+                    row: 3,
+                    attr: Some(1)
+                })
+            );
+        }
+        // A target too large to sum with the attributes is named too.
+        let ys: Vec<f64> = (0..8).map(|i| if i == 5 { 1e308 } else { 1.0 }).collect();
+        let rows: Vec<[f64; 1]> = (0..8).map(|i| [10.0 + i as f64]).collect();
+        let d = Dataset::from_rows(vec!["a".into()], &rows, &ys).unwrap();
+        assert_eq!(
+            LinearModel::fit(&d, &idx, &[0]),
+            Err(MtreeError::FitOverflow { row: 5, attr: None })
+        );
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl CycleModel {
         }
     }
 
-    /// Current memory-boundedness estimate in `[0, 1]` (diagnostics).
-    pub fn memboundedness(&self) -> f64 {
-        self.membound
-    }
-
     /// Prices one retired instruction in cycles.
     pub fn cost(&mut self, ev: &InstrEvents) -> f64 {
         let cfg = &self.cfg;
@@ -281,7 +276,7 @@ mod tests {
         for _ in 0..2000 {
             m.cost(&miss);
         }
-        assert!(m.memboundedness() > 0.5);
+        assert!(m.membound > 0.5);
         let mut br = plain(4);
         br.mispredict = true;
         let shadowed = m.cost(&br);

@@ -2,11 +2,14 @@
 //! on request lines shaped like the benchmark's `serve_batch` requests: 16
 //! predicts of 1,000 rows drawn from the simulated suite (200,000
 //! instructions per profile), each value written in shortest round-trip
-//! form. Prints the median and the minimum ns per row, over 21 passes, of
-//! framing (`read_bounded_line`), `decode_request` (the daemon),
-//! `decode_header` (the fleet router), `str::parse::<f64>` over every
-//! number token and over those outside the scanner's exact path, serial
-//! compiled predict, and `Response::to_line`.
+//! form. Prints the share of number tokens on each of the scanner's
+//! conversion paths (exact, Eisel–Lemire, `parse::<f64>`), then the median
+//! and the minimum ns per row, over 21 passes, of framing
+//! (`read_bounded_line`), `decode_request` (the daemon), `decode_header`
+//! (the fleet router), `str::parse::<f64>` over every number token and
+//! over those that still reach it in the scanner, serial compiled
+//! predict, `Response::to_line`, and `decode_reply_header` (the router
+//! reading each reply).
 //!
 //! Run with: `cargo run --release --example decode_probe [seed]`
 
@@ -18,7 +21,7 @@ use std::time::Instant;
 use mtperf::linalg::{Matrix, Parallelism};
 use mtperf::prelude::*;
 use mtperf::serve::protocol::{
-    decode_header, decode_request, read_bounded_line, LineRead, Response,
+    decode_header, decode_reply_header, decode_request, read_bounded_line, LineRead, Response,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,19 +44,31 @@ fn ns_per_row(rows: usize, mut pass: impl FnMut()) -> (f64, f64) {
     (ns[REPEATS / 2], ns[0])
 }
 
-/// Whether the scanner converts `token` with one exact multiply or divide:
-/// at most 19 significant digits, a significand of at most 2^53 and a
-/// decimal exponent within ±22 (restated here; the scanner is private).
-fn exact_path(token: &str) -> bool {
+/// The scanner's conversion paths, in the order it tries them.
+const PATHS: [&str; 3] = ["exact", "Eisel-Lemire", "parse::<f64>"];
+
+/// Which path the scanner converts `token` by (an index into [`PATHS`]),
+/// restated here as the scanner is private: exact for at most 19
+/// significant digits, a significand `w` of at most 2^53 and a decimal
+/// exponent `q` within ±22; Eisel–Lemire for at most 19 significant
+/// digits, `w ≠ 0` and `q` in -27..=55; `parse::<f64>` otherwise.
+fn path(token: &str) -> usize {
     let (mantissa, exponent) = token.split_once(['e', 'E']).unwrap_or((token, "0"));
     let fraction = mantissa.split_once('.').map_or(0, |(_, f)| f.len()) as i64;
     let digits = mantissa
         .trim_start_matches(['-', '0', '.'])
         .replace('.', "");
-    let exponent = exponent.parse::<i64>().unwrap_or(i64::MAX) - fraction;
-    digits.len() <= 19
-        && digits.parse::<u64>().unwrap_or(0) <= 1 << 53
-        && (-22..=22).contains(&exponent)
+    let q = exponent.parse::<i64>().unwrap_or(i64::MAX) - fraction;
+    let w = digits.parse::<u64>().unwrap_or(0);
+    if digits.len() > 19 {
+        2
+    } else if w <= 1 << 53 && (-22..=22).contains(&q) {
+        0
+    } else if w != 0 && (-27..=55).contains(&q) {
+        1
+    } else {
+        2
+    }
 }
 
 fn main() {
@@ -89,7 +104,11 @@ fn main() {
         .flat_map(|l| l.split(['[', ']', ',']))
         .filter(|t| t.starts_with(|c: char| c.is_ascii_digit() || c == '-'))
         .collect();
-    let inexact: Vec<&str> = tokens.iter().copied().filter(|t| !exact_path(t)).collect();
+    let mut on_path = [0usize; PATHS.len()];
+    for token in &tokens {
+        on_path[path(token)] += 1;
+    }
+    let parsed: Vec<&str> = tokens.iter().copied().filter(|t| path(t) == 2).collect();
     let rows = BODIES * ROWS;
 
     let data = mtperf::dataset_from_samples(&samples).expect("a non-empty suite");
@@ -108,6 +127,11 @@ fn main() {
     let predictions: Vec<Vec<f64>> = matrices
         .iter()
         .map(|m| compiled.predict_batch_with(m, Parallelism::Off))
+        .collect();
+
+    let replies: Vec<String> = predictions
+        .iter()
+        .map(|p| Response::predictions(Some("b".into()), p.clone(), false).to_line())
         .collect();
 
     let parse = |tokens: &[&str]| {
@@ -145,7 +169,7 @@ fn main() {
             }),
         ),
         ("parse all", parse(&tokens)),
-        ("parse inexact", parse(&inexact)),
+        ("parse fallback", parse(&parsed)),
         (
             "predict",
             ns_per_row(rows, || {
@@ -163,15 +187,28 @@ fn main() {
                 }
             }),
         ),
+        (
+            "reply header",
+            ns_per_row(rows, || {
+                for reply in &replies {
+                    black_box(decode_reply_header(reply).expect("valid reply"));
+                }
+            }),
+        ),
     ];
     println!(
-        "{rows} rows of {} tokens, {:.0} bytes per row, {:.1}% of tokens exact (seed {seed})",
+        "{rows} rows of {} tokens, {:.0} bytes per row (seed {seed})",
         tokens.len() / rows,
         stream.len() as f64 / rows as f64,
-        100.0 * (tokens.len() - inexact.len()) as f64 / tokens.len() as f64
     );
-    println!("ns/row          median     min");
+    for (name, n) in PATHS.iter().zip(on_path) {
+        println!(
+            "{:5.1}% of tokens on the {name} path",
+            100.0 * n as f64 / tokens.len() as f64
+        );
+    }
+    println!("ns/row           median     min");
     for (name, (median, min)) in layers {
-        println!("{name:<14} {median:8.1} {min:7.1}");
+        println!("{name:<15} {median:8.1} {min:7.1}");
     }
 }

@@ -359,6 +359,30 @@ fn an_overflowing_prediction_is_a_data_error_naming_the_section() {
 }
 
 #[test]
+fn an_overflowing_fit_is_a_data_error_naming_section_and_column() {
+    let dir = scratch("overflow-train");
+    // The huge rate is finite, but its square overflows the normal
+    // equations: `train` once exited 65 with a singular-matrix message
+    // that named no row.
+    let (_, huge) = huge_l1im_fixture(&dir);
+    let err = run_cli(&[
+        "train",
+        "--data",
+        huge.to_str().unwrap(),
+        "--out",
+        dir.join("huge-model.json").to_str().unwrap(),
+    ])
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 65, "{err}");
+    let message = err.to_string();
+    assert!(
+        message.contains("train: section 17 (401.bzip2-like #7): L1IM overflows"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn residual_flag_requires_analytic_features() {
     let dir = scratch("resflag");
     let csv = simulate_csv(&dir);
